@@ -334,6 +334,10 @@ func BenchmarkPipelinedAllocsPerStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	emit := func(int, ridgewalker.Query, []ridgewalker.VertexID, int64) error { return nil }
+	// Warm once: a lane's path buffer is allocated at its first use.
+	if _, err := p.Run(qs, emit); err != nil {
+		b.Fatal(err)
+	}
 	var steps int64
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,6 @@
 // Step-interleaved execution: run the same DeepWalk workload on the flat
 // cpu backend and the cpu-pipelined backend — which advances a cohort of
-// in-flight walkers together through batched Gather/Sample/Move stages so
+// in-flight walkers together through batched Row/Sample/Column/Move stages so
 // CSR row fetches overlap sampling — and verify the walks are
 // byte-identical at every cohort size, alone and composed with sharding.
 //

@@ -34,7 +34,7 @@ func main() {
 
 	// Run on the simulated accelerator: 16 asynchronous pipelines over the
 	// U55C HBM2 model. (The simulator is not the only pipelined engine —
-	// the "cpu-pipelined" backend runs the same Gather/Sample/Move
+	// the "cpu-pipelined" backend runs the same Row/Sample/Column/Move
 	// pipelining in software over cohorts of walkers; see below.)
 	res, stats, err := ridgewalker.Simulate(g, queries, ridgewalker.SimOptions{
 		Platform: ridgewalker.U55C,
@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("software engine took %d steps across the same %d queries\n", sw.Steps, len(queries))
 
 	// The step-interleaved software engine — cohorts of walkers advanced
-	// together through batched Gather/Sample/Move stages, so CSR row
+	// together through batched Row/Sample/Column/Move stages, so CSR row
 	// fetches overlap sampling — takes byte-identical walks.
 	pl, err := ridgewalker.WalkPipelined(g, queries, cfg, 64)
 	if err != nil {

@@ -9,15 +9,15 @@
 // batches, queue too much and latency grows without bound while
 // throughput gains nothing. Theorem VI.1 gives the principled depth —
 // D = N + ⌈mu·c⌉·N for N servers consuming mu tasks per cycle under
-// feedback delayed by c cycles. Here the "cycle" is the admission
-// controller's reaction window (the deadline headroom it targets), mu is
-// the EWMA-observed per-worker service rate, and N is the engine's
-// worker count, so the budget tracks what the engine demonstrably
-// sustains instead of a hand-tuned constant: enough queued work to keep
-// every worker busy across one feedback window, nothing more. Work
-// beyond the budget is rejected immediately with ErrOverloaded — an
-// overloaded service degrades into a fast-failing one, never into an
-// unbounded queue.
+// feedback delayed by c cycles. Here c is the round trip of admitted
+// work (from admission to the delivery that frees its slots), mu is the
+// EWMA-observed per-worker service rate, N is the dispatching worker
+// count and a worker's resident task is one dispatched group, so the
+// budget tracks what the engine demonstrably sustains instead of a
+// hand-tuned constant: enough queued work to keep every worker busy
+// across one feedback window, nothing more. Work beyond the budget is
+// rejected immediately with ErrOverloaded — an overloaded service
+// degrades into a fast-failing one, never into an unbounded queue.
 package admit
 
 import (
@@ -153,8 +153,8 @@ type Stats struct {
 	// ServiceRate is the EWMA per-worker service rate in queries/sec (0
 	// until the first observation).
 	ServiceRate float64
-	// FeedbackDelay is the EWMA group service latency the auto budget
-	// treats as its reaction window.
+	// FeedbackDelay is the EWMA round trip of a dispatched group, the
+	// window the auto budget covers.
 	FeedbackDelay time.Duration
 	// PerLane and PerTenant tally outcomes by lane name and tenant name
 	// (the empty tenant is reported as "default").
@@ -173,7 +173,8 @@ type Controller struct {
 
 	inflight     [NumLanes]int
 	muRate       float64 // EWMA queries/sec per worker
-	delaySec     float64 // EWMA group service latency (the feedback window)
+	delaySec     float64 // EWMA admission-to-delivery round trip (the feedback window)
+	groupSize    float64 // EWMA queries per dispatched group
 	laneCounters [NumLanes]Counters
 	tenants      map[string]*tenantState
 
@@ -246,15 +247,23 @@ func (c *Controller) budgetLocked() int {
 		// keeping the engine fed. The first completed group re-derives.
 		return c.workers * coldBudgetPerWorker
 	}
-	// The feedback window is the observed group latency — the time between
-	// capacity freeing downstream and the controller learning of it via a
-	// completion — floored so a microsecond-scale engine cannot starve
-	// itself of pipeline depth.
+	// The feedback window is the observed round trip — the time between
+	// the controller admitting work and learning, via its delivery, that
+	// the capacity is free again — floored so a microsecond-scale engine
+	// cannot starve itself of pipeline depth. The engine's run time alone
+	// is only part of that loop: the linger, the hand-off to a worker and
+	// the delivery hold slots too, and a window that leaves them out
+	// prices the budget below what keeps the engine fed.
 	window := c.delaySec
 	if min := minHeadroom.Seconds(); window < min {
 		window = min
 	}
-	d := queuing.MinDepth(c.workers, c.muRate*window, 1)
+	// Theorem VI.1 counts tasks and gives every server one resident task
+	// beside the ⌈mu·c⌉ that cover the window. A worker here serves a
+	// whole group at a time, so in query units its resident task is one
+	// group: completions free a group's worth of slots at once, and the
+	// in-flight count swings by that much around the window's mean.
+	d := queuing.MinDepth(c.workers, c.muRate*window, 1) + c.workers*(int(math.Ceil(c.groupSize))-1)
 	if min := 2 * c.workers; d < min {
 		d = min
 	}
@@ -439,29 +448,33 @@ func (c *Controller) WatchdogKill(lane int, tenant string, n int) {
 	ts.counters.WatchdogKilled += int64(n)
 }
 
-// ResetObservations clears the service-time EWMAs (rate and feedback
-// delay) so the auto budget re-derives from fresh observations. The
-// serving layer calls it on graph compaction: a new epoch's per-query
-// cost can differ enough that pre-compaction history misprices the
-// in-flight budget. In-flight accounting and counters are untouched.
+// ResetObservations clears the observation EWMAs (rate, feedback delay
+// and group size) so the auto budget re-derives from fresh observations.
+// The serving layer calls it on graph compaction: a new epoch's
+// per-query cost can differ enough that pre-compaction history misprices
+// the in-flight budget. In-flight accounting and counters are untouched.
 func (c *Controller) ResetObservations() {
 	c.mu.Lock()
-	c.muRate, c.delaySec = 0, 0
+	c.muRate, c.delaySec, c.groupSize = 0, 0, 0
 	c.mu.Unlock()
 }
 
-// Observe feeds a completed dispatch back into the budget: n queries
-// finished in service (engine wall time). The EWMA per-worker service
-// rate and the EWMA latency (the feedback window) together re-derive the
-// auto budget on the next Admit.
-func (c *Controller) Observe(n int, service time.Duration) {
+// Observe feeds a completed dispatch back into the budget: a group of n
+// queries ran for service (engine wall time) and its slots were held for
+// roundTrip — from the admission of the group's first request to the
+// delivery of its replies, less any wait for a free worker. The EWMA
+// per-worker service rate, the EWMA round trip (the feedback window) and
+// the EWMA group size together re-derive the auto budget on the next
+// Admit. A round trip shorter than the service time counts as the
+// service time.
+func (c *Controller) Observe(n int, service, roundTrip time.Duration) {
 	if n < 1 || service <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rate := float64(n) / service.Seconds() / float64(c.workers)
-	sec := service.Seconds()
+	sec := max(service, roundTrip).Seconds()
 	if c.muRate == 0 {
 		c.muRate = rate
 	} else {
@@ -471,6 +484,11 @@ func (c *Controller) Observe(n int, service time.Duration) {
 		c.delaySec = sec
 	} else {
 		c.delaySec += ewmaAlpha * (sec - c.delaySec)
+	}
+	if c.groupSize == 0 {
+		c.groupSize = float64(n)
+	} else {
+		c.groupSize += ewmaAlpha * (float64(n) - c.groupSize)
 	}
 }
 

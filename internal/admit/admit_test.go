@@ -58,22 +58,50 @@ func TestAutoBudgetTracksServiceRate(t *testing.T) {
 	if cold != 4*coldBudgetPerWorker {
 		t.Fatalf("cold budget = %d, want %d", cold, 4*coldBudgetPerWorker)
 	}
-	// 400 queries in 10ms across 4 workers → 10k q/s per worker; feedback
-	// window 10ms → mu·c = 100 per worker → D = 4 + 100·4 = 404.
+	// Groups of 400 queries in 10ms across 4 workers → 10k q/s per worker;
+	// feedback window 10ms → mu·c = 100 per worker, and each worker's
+	// resident task is one 400-query group → D = 4·400 + 100·4 = 2000.
 	for i := 0; i < 50; i++ {
-		c.Observe(400, 10*time.Millisecond)
+		c.Observe(400, 10*time.Millisecond, 10*time.Millisecond)
 	}
 	b := c.Budget()
-	if b < 300 || b > 500 {
-		t.Fatalf("auto budget = %d, want ≈404", b)
+	if b < 1900 || b > 2100 {
+		t.Fatalf("auto budget = %d, want ≈2000", b)
 	}
 	// A 10× slower service rate shrinks the budget proportionally.
 	for i := 0; i < 50; i++ {
-		c.Observe(40, 10*time.Millisecond)
+		c.Observe(40, 10*time.Millisecond, 10*time.Millisecond)
 	}
 	b2 := c.Budget()
-	if b2 >= b || b2 < 2*4 {
-		t.Fatalf("auto budget after slowdown = %d (was %d), want smaller but >= 2·workers", b2, b)
+	if b2 < 180 || b2 > 220 {
+		t.Fatalf("auto budget after slowdown = %d (was %d), want ≈200", b2, b)
+	}
+}
+
+// TestAutoBudgetWindowIsTheRoundTrip pins what the feedback window
+// measures: the time a group's slots were held, not the engine's share of
+// it. With the engine time as the window, a fast engine behind a linger
+// priced the budget at about one group, and which multiple of a group it
+// settled on was decided by timing noise.
+func TestAutoBudgetWindowIsTheRoundTrip(t *testing.T) {
+	c := controller(Config{Workers: 2, MaxInFlight: Auto}, newFakeClock())
+	// 64-query groups that run for 0.4ms but hold their slots for 2.4ms:
+	// 80k q/s per worker over a 2.4ms window → mu·c = 192 per worker →
+	// D = 2·64 + 192·2 = 512.
+	for i := 0; i < 50; i++ {
+		c.Observe(64, 400*time.Microsecond, 2400*time.Microsecond)
+	}
+	if b := c.Budget(); b < 490 || b > 530 {
+		t.Fatalf("auto budget = %d, want ≈512", b)
+	}
+	// A round trip reported shorter than the run counts as the run.
+	c.ResetObservations()
+	for i := 0; i < 50; i++ {
+		c.Observe(64, 5*time.Millisecond, 0)
+	}
+	// 6.4k q/s per worker over 5ms → mu·c = 32 → D = 2·64 + 32·2 = 192.
+	if b := c.Budget(); b < 180 || b > 200 {
+		t.Fatalf("auto budget without a round trip = %d, want ≈192", b)
 	}
 }
 
@@ -81,7 +109,7 @@ func TestDeadlineFeasibilitySheds(t *testing.T) {
 	c := controller(Config{Workers: 1, MaxInFlight: 1000}, newFakeClock())
 	// Service rate: 100 queries/sec per worker.
 	for i := 0; i < 20; i++ {
-		c.Observe(100, time.Second)
+		c.Observe(100, time.Second, time.Second)
 	}
 	if err := c.Admit(0, "", 50, -1); err != nil {
 		t.Fatalf("seed admit: %v", err)

@@ -30,13 +30,14 @@ func init() {
 // Serving-harness shape. Requests carry serveRequestQueries walk queries
 // each — the GraphSAGE-ish "one front-end call, a few dozen walks" unit —
 // so request-level latency prices a realistic serving quantum rather than
-// a single walk. The closed loop keeps 4× the worker count of submitters
+// a single walk. The closed loop keeps 16× the worker count of submitters
 // resubmitting back-to-back (enough to hold the admission budget full
-// through the feedback window), and each open-loop point paces
+// through the feedback window: the auto budget settles near 750 queries
+// per worker, twelve requests), and each open-loop point paces
 // submissions at a fixed multiple of the measured saturation rate.
 const (
 	serveRequestQueries = 64
-	serveSubmitterMult  = 4
+	serveSubmitterMult  = 16
 	serveWarm           = 150 * time.Millisecond
 	serveMeasure        = 400 * time.Millisecond
 	servePointDur       = 400 * time.Millisecond

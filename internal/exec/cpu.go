@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
@@ -62,7 +61,7 @@ func (cpuBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &cpuSession{g: g, discard: cfg.DiscardPaths, sampler: ref, tier: ts}
+	s := &cpuSession{g: g, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts}
 	s.walkers = make([]*walk.Walker, workers)
 	for i := range s.walkers {
 		s.walkers[i] = walk.NewWalkerWithSampler(g, cfg.Walk, ref.Sampler())
@@ -80,6 +79,7 @@ type cpuSession struct {
 	mu      sync.Mutex // serializes Run/Stream: walkers are single-batch state
 	g       *graph.CSR
 	discard bool
+	maxPath int // longest possible path, WalkLength+1
 	sampler *sampling.SamplerRef
 	tier    *tierState
 	walkers []*walk.Walker
@@ -143,24 +143,15 @@ func (s *cpuSession) forEachWalk(ctx context.Context, batch Batch,
 func (s *cpuSession) Run(ctx context.Context, batch Batch) (*BatchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res := &BatchResult{}
-	if !s.discard {
-		res.Paths = make([][]graph.VertexID, len(batch.Queries))
-	}
-	var steps atomic.Int64
-	err := s.forEachWalk(ctx, batch, func(_, i int, _ walk.Query, path []graph.VertexID, st int64) error {
-		if !s.discard {
-			cp := make([]graph.VertexID, len(path))
-			copy(cp, path)
-			res.Paths[i] = cp
-		}
-		steps.Add(st)
+	col := newCollector(len(batch.Queries), len(s.walkers), s.maxPath, s.discard)
+	err := s.forEachWalk(ctx, batch, func(w, i int, _ walk.Query, path []graph.VertexID, st int64) error {
+		col.add(w, i, path, st)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Steps = steps.Load()
+	res := col.result()
 	res.Memory = s.tier.report()
 	return res, nil
 }

@@ -63,14 +63,15 @@ type Config struct {
 
 	// Cohort sets the cpu-pipelined backend's in-flight walker count per
 	// worker: each worker advances that many walks together through the
-	// batched Gather/Sample/Move stages, overlapping CSR row fetches across
-	// walks. 0 means the backend default (64). Other backends ignore it.
+	// batched Row/Sample/Column/Move stages, overlapping CSR row fetches
+	// across walks. 0 means the backend default (DefaultCohort). Other
+	// backends ignore it.
 	Cohort int
 
 	// HubCacheBytes, when positive, sizes the degree-aware hub arena the
 	// cpu-pipelined backend builds over the graph: the highest-degree
 	// rows are copied, hub-first and cache-line aligned, into one compact
-	// block served to the cohort Gather stage (graph.Layout), so the hot
+	// block served to the cohort Row Access stage (graph.Layout), so the hot
 	// rows of a power-law walk live in a cache-resident arena instead of
 	// being scattered across the full CSR. The layout is content-
 	// identical to the CSR, so results are unaffected. 0 (the default)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
+	"ridgewalker/internal/plan"
 	"ridgewalker/internal/sampling"
 	"ridgewalker/internal/shard"
 	"ridgewalker/internal/walk"
@@ -19,16 +19,22 @@ func init() {
 }
 
 // DefaultCohort is the cpu-pipelined backend's in-flight walker count per
-// worker when Config.Cohort is zero. Big enough that a cohort's row
-// fetches cover memory latency, small enough that the per-lane state of a
-// worker's cohort stays cache-resident.
-const DefaultCohort = 64
+// worker when Config.Cohort is zero, and (as plan.DefaultCohort) the
+// cohort of the planner's stats-only plan. Each stage loop drains its misses before the next
+// starts, so a wider cohort amortizes that drain over more lanes; past a
+// few hundred lanes the per-lane state (≈ 0.5 KB with an 80-hop path)
+// outgrows L2 and the gain stops. Picked from a sweep on RMAT-20 with two
+// workers and 65 536-query URW batches: c64 40, c256 58, c1024 57
+// Mstep/s (PPR 19 / 29 / 33, DeepWalk 9.4 / 10.4 / 10.9, Node2Vec 7.3 /
+// 7.7 / 6.5).
+const DefaultCohort = plan.DefaultCohort
 
 // pipelinedBackend is the step-interleaved software engine: the walk step
-// is decomposed into Gather (CSR row bounds + neighbor-slice touch),
-// Sample (stage-resumable Propose/Accept decision), and Move (state
-// advance, path emit, retire/respawn), each run as a tight batched loop
-// over a cohort of in-flight walkers (walk.Cohort) — the software shadow
+// is decomposed into Row Access (CSR row bounds), Sample (a direct draw,
+// or the stage-resumable Propose/Accept decision), Column Access (the one
+// drawn column entry), and Move (state advance, path emit,
+// retire/respawn), each run as a tight batched loop over a cohort of
+// in-flight walkers (walk.Cohort) — the software shadow
 // of the paper's perfectly pipelined datapath, in the spirit of
 // ThunderRW's step interleaving. With Shards > 0 the cohort stepper runs
 // inside the sharded engine's per-shard workers, composing partition
@@ -40,19 +46,19 @@ type pipelinedBackend struct{}
 func (pipelinedBackend) Name() string { return "cpu-pipelined" }
 
 func (pipelinedBackend) Description() string {
-	return "step-interleaved software engine: cohort-batched Gather/Sample/Move pipeline"
+	return "step-interleaved software engine: cohort-batched Row Access/Sample/Column Access/Move pipeline"
 }
 
 // MergesBatches implements BatchMerger: per-lane RNG streams make walks
 // independent of batch composition and cohort packing.
 func (pipelinedBackend) MergesBatches() bool { return true }
 
-// SupportsMemoryTiering implements MemoryTierer: the cohort Gather stage
-// serves hot rows from the arena and decodes cold rows per lane.
+// SupportsMemoryTiering implements MemoryTierer: the cohort Row Access
+// stage serves hot rows from the arena and decodes cold rows per lane.
 func (pipelinedBackend) SupportsMemoryTiering() bool { return true }
 
-// SupportsVersionedGraphs implements VersionedGrapher: the cohort Gather
-// stage consults the epoch overlay before the base row.
+// SupportsVersionedGraphs implements VersionedGrapher: the cohort Row
+// Access stage consults the epoch overlay before the base row.
 func (pipelinedBackend) SupportsVersionedGraphs() bool { return true }
 
 // Heartbeats implements Heartbeater: the cohort stepper bumps
@@ -78,7 +84,7 @@ func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 		return nil, fmt.Errorf("exec: cpu-pipelined: MemoryBudgetBytes and HubCacheBytes are mutually exclusive (the tiered hot arena subsumes the hub cache)")
 	}
 	// The degree-aware hub arena (opt-in via HubCacheBytes) serves the
-	// cohort Gather stage in both the sharded and unsharded compositions;
+	// cohort Row Access stage in both the sharded and unsharded compositions;
 	// content identity with the CSR keeps trajectories byte-identical.
 	var lay *graph.Layout
 	if cfg.HubCacheBytes > 0 {
@@ -87,7 +93,7 @@ func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	// The sampler is borrowed from the process-wide registry in both
 	// compositions, so pipelined, sharded, and flat cpu sessions over the
 	// same graph all read one store. A memory budget swaps both borrows
-	// for their tiered counterparts; the cohort Gather stage then decodes
+	// for their tiered counterparts; the cohort Row Access stage then decodes
 	// cold rows into per-lane scratch.
 	ref, ts, err := acquireWalkState(g, cfg)
 	if err != nil {
@@ -117,13 +123,13 @@ func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 			ref.Release()
 			return nil, err
 		}
-		return &shardedSession{eng: eng, discard: cfg.DiscardPaths, sampler: ref, tier: ts, tag: "cpu-pipelined"}, nil
+		return &shardedSession{eng: eng, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts, tag: "cpu-pipelined"}, nil
 	}
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &pipelinedSession{g: g, discard: cfg.DiscardPaths, sampler: ref, tier: ts}
+	s := &pipelinedSession{g: g, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts}
 	s.pipes = make([]*walk.Pipeline, workers)
 	for i := range s.pipes {
 		p, err := walk.NewPipelineWithSampler(g, cfg.Walk, ref.Sampler(), cohort)
@@ -153,6 +159,7 @@ type pipelinedSession struct {
 	mu      sync.Mutex // serializes Run/Stream: pipelines are single-batch state
 	g       *graph.CSR
 	discard bool
+	maxPath int // longest possible path, WalkLength+1
 	sampler *sampling.SamplerRef
 	tier    *tierState
 	pipes   []*walk.Pipeline
@@ -223,24 +230,15 @@ func (s *pipelinedSession) forEachWalk(ctx context.Context, batch Batch,
 func (s *pipelinedSession) Run(ctx context.Context, batch Batch) (*BatchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res := &BatchResult{}
-	if !s.discard {
-		res.Paths = make([][]graph.VertexID, len(batch.Queries))
-	}
-	var steps atomic.Int64
-	err := s.forEachWalk(ctx, batch, func(_, i int, _ walk.Query, path []graph.VertexID, st int64) error {
-		if !s.discard {
-			cp := make([]graph.VertexID, len(path))
-			copy(cp, path)
-			res.Paths[i] = cp
-		}
-		steps.Add(st)
+	col := newCollector(len(batch.Queries), len(s.pipes), s.maxPath, s.discard)
+	err := s.forEachWalk(ctx, batch, func(w, i int, _ walk.Query, path []graph.VertexID, st int64) error {
+		col.add(w, i, path, st)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Steps = steps.Load()
+	res := col.result()
 	res.Memory = s.tier.report()
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
@@ -99,7 +98,7 @@ func (shardedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 		ref.Release()
 		return nil, err
 	}
-	return &shardedSession{eng: eng, discard: cfg.DiscardPaths, sampler: ref, tier: ts, tag: "cpu-sharded"}, nil
+	return &shardedSession{eng: eng, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts, tag: "cpu-sharded"}, nil
 }
 
 // shardedSession adapts a shard.Engine to the Session interface. The
@@ -110,6 +109,7 @@ type shardedSession struct {
 	mu      sync.RWMutex
 	eng     *shard.Engine
 	discard bool
+	maxPath int // longest possible path, WalkLength+1
 	sampler *sampling.SamplerRef
 	tier    *tierState
 	// tag is the creating backend's name ("cpu-sharded", or
@@ -153,30 +153,27 @@ func (s *shardedSession) Run(ctx context.Context, batch Batch) (*BatchResult, er
 	if err := fault.CheckTag(fault.BatchExec, s.tag); err != nil {
 		return nil, err
 	}
-	res := &BatchResult{}
-	if !s.discard {
-		res.Paths = make([][]graph.VertexID, len(batch.Queries))
-	}
-	var steps atomic.Int64
+	// Emits arrive concurrently from shard workers and do not say which:
+	// they spread over one collector slot per worker by batch index, each
+	// slot behind its own (all but uncontended) lock.
+	slots := eng.Partitioning().K * eng.WorkersPerShard()
+	col := newCollector(len(batch.Queries), slots, s.maxPath, s.discard)
+	locks := make([]sync.Mutex, slots)
 	hb := batch.Heartbeat
-	// Emits arrive concurrently from shard workers; each batch index is
-	// finished exactly once, so the per-slot writes need no lock.
 	_, err = eng.Run(ctx, batch.Queries, func(i int, _ walk.Query, path []graph.VertexID, st int64) error {
-		if !s.discard {
-			cp := make([]graph.VertexID, len(path))
-			copy(cp, path)
-			res.Paths[i] = cp
-		}
+		slot := i % slots
+		locks[slot].Lock()
+		col.add(slot, i, path, st)
+		locks[slot].Unlock()
 		if hb != nil {
 			hb.Add(1)
 		}
-		steps.Add(st)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Steps = steps.Load()
+	res := col.result()
 	res.Memory = s.tier.report()
 	return res, nil
 }

@@ -16,7 +16,7 @@ import (
 // little-endian bytes, truncated to that length. Keeping control bits out
 // of the data bytes means the decoder's inner loop is a table-free shift
 // and mask with no per-byte branch, which is what makes row-at-a-time
-// decode cheap enough for the cohort Gather stage.
+// decode cheap enough for the cohort Row Access stage.
 //
 // Rows come in two layouts, split by degree. Shallow rows (deg <=
 // strideMinDeg) are one contiguous stream; point access scans from the

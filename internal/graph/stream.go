@@ -281,10 +281,15 @@ func streamSorted(cfg RMATConfig, rowPtr []int64, chunk int, tmpDir string,
 	stats *StreamStats, emit func(VertexID) error) error {
 	n := len(rowPtr) - 1
 	m := cfg.EdgeFactor * n
-	bufCap := chunk
+	perEdge := 1
 	if !cfg.Directed {
-		bufCap *= 2
+		perEdge = 2
 	}
+	// The buffer never needs more room than the m edges fill (plus the two
+	// entries of headroom the spill check below keeps): a caller-supplied
+	// ChunkEdges far beyond the graph (1<<30 to mean "never spill") must
+	// not turn into a 16 GiB allocation.
+	bufCap := min(chunk*perEdge, m*perEdge+2)
 	pairs := make([]uint64, 0, bufCap)
 	// Spill-file cleanup is unconditional: every error exit below (a
 	// failed spill, a failed reader open, a failed emit mid-merge) and the

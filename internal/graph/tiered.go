@@ -320,7 +320,7 @@ func (t *Tiered) ColdEntryAt(v VertexID, off int64, i int32) VertexID {
 }
 
 // TouchRow prefetches v's locator word and, for cold rows, the head of
-// the encoded byte string (the Gather stage's software prefetch hook).
+// the encoded byte string (the Row Access stage's software prefetch hook).
 // The return value must be consumed (XOR into a sink) so the loads
 // cannot be dead-code eliminated.
 func (t *Tiered) TouchRow(v VertexID) uint64 {

@@ -50,13 +50,15 @@ type Options struct {
 	// real graph).
 	SubgraphEdges int64
 	// DriftFactor is the online re-plan trigger: once served
-	// observations settle, an observed steps/sec EWMA beyond this
-	// factor (either direction) of the level the plan was adopted at
-	// recalibrates the class (default 2).
+	// observations of one batch size (of at least Queries queries)
+	// settle, an observed steps/sec EWMA that stays beyond this factor
+	// (either direction) of the level that size had when the plan was
+	// adopted recalibrates the class (default 2).
 	DriftFactor float64
-	// MinObservations is how many served batches must be observed
-	// before drift can trigger (default 8) — re-planning on the first
-	// noisy batch would thrash.
+	// MinObservations is how many served batches of one size must be
+	// observed before drift can trigger, and how many in a row must then
+	// agree (default 8) — re-planning on the first noisy batch would
+	// thrash.
 	MinObservations int
 }
 

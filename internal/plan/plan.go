@@ -158,6 +158,11 @@ type Measurement struct {
 	Err string
 }
 
+// DefaultCohort is the cohort width of the stats-only plan and the widest
+// calibrated candidate; the cpu-pipelined backend takes its own default
+// from it (exec.DefaultCohort records the sweep behind the choice).
+const DefaultCohort = 256
+
 // Candidates enumerates the engine shapes worth considering for st
 // under cons, in deterministic order. The list is deliberately small —
 // calibration cost is candidates × probe runtime — and prunes shapes
@@ -169,7 +174,7 @@ func Candidates(st GraphStats, cons Constraints) []Candidate {
 	if procs < 1 {
 		procs = 1
 	}
-	cohorts := []int{16, 64, 256}
+	cohorts := []int{16, 64, DefaultCohort}
 	if cons.Cohort > 0 {
 		cohorts = []int{cons.Cohort}
 	}
@@ -212,8 +217,10 @@ func Candidates(st GraphStats, cons Constraints) []Candidate {
 // none), it returns the plan. With measurements it picks the fastest
 // surviving candidate (first wins ties, and the candidate order is
 // deterministic, so so is the decision); without, it falls back to the
-// heuristics the bench record supports: the cohort pipeline never loses
-// to the flat engine, and sharding pays only past one effective core.
+// heuristic the bench record supports: the unsharded cohort pipeline.
+// It never loses to the flat engine, and sharding has yet to win a
+// measurement on flat memory — so a sharded shape is chosen only by a
+// calibration that measured it faster, or by an explicit Shards pin.
 func Decide(st GraphStats, cons Constraints, ms []Measurement) Plan {
 	p := Plan{MemoryBudgetBytes: cons.MemoryBudgetBytes}
 	if cons.MemoryBudgetBytes == 0 {
@@ -241,19 +248,8 @@ func Decide(st GraphStats, cons Constraints, ms []Measurement) Plan {
 	p.Candidate = cands[0]
 	p.Source = "stats"
 	p.Reason = "no calibration measurements; first candidate"
-	procs := cons.Workers
-	if procs < 1 {
-		procs = 1
-	}
 	for _, c := range cands {
-		if procs > 1 && c.Shards > 1 && c.Backend == "cpu-pipelined" {
-			p.Candidate = c
-			p.Reason = fmt.Sprintf("stats: %d workers, sharded cohort pipeline", procs)
-			return p
-		}
-	}
-	for _, c := range cands {
-		if c.Backend == "cpu-pipelined" && (c.Cohort == 64 || cons.Cohort > 0) {
+		if c.Backend == "cpu-pipelined" && (c.Cohort == DefaultCohort || cons.Cohort > 0) {
 			p.Candidate = c
 			p.Reason = "stats: cohort pipeline is never slower than the flat engine"
 			return p

@@ -164,18 +164,36 @@ func TestDecideMemoryKnobs(t *testing.T) {
 
 func TestDecideStatsFallback(t *testing.T) {
 	st := ComputeStats(testGraph(t), nil)
-	// One core: the cohort pipeline at the middle width.
-	p := Decide(st, Constraints{Workers: 1}, nil)
-	if p.Backend != "cpu-pipelined" || p.Cohort != 64 || p.Shards != 0 {
-		t.Fatalf("single-core fallback = %v", p.Candidate)
+	// Any core count: the unsharded cohort pipeline at the fallback width.
+	// Sharding has to win a calibration (or be pinned) to be planned.
+	for _, workers := range []int{1, 2, 4, 16} {
+		p := Decide(st, Constraints{Workers: workers}, nil)
+		if want := (Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort}); p.Candidate != want {
+			t.Fatalf("workers=%d: fallback = %v, want %v", workers, p.Candidate, want)
+		}
+		if p.Source != "stats" {
+			t.Fatalf("workers=%d: source = %q, want stats", workers, p.Source)
+		}
 	}
-	if p.Source != "stats" {
-		t.Fatalf("source = %q, want stats", p.Source)
+	// An explicit Shards constraint is still honoured, with or without a
+	// cohort pin, on one core as on many.
+	for _, workers := range []int{1, 4} {
+		p := Decide(st, Constraints{Workers: workers, Shards: 3}, nil)
+		if want := (Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort, Shards: 3}); p.Candidate != want {
+			t.Fatalf("workers=%d shards pinned: fallback = %v, want %v", workers, p.Candidate, want)
+		}
+		p = Decide(st, Constraints{Workers: workers, Shards: 3, Cohort: 32}, nil)
+		if want := (Candidate{Backend: "cpu-pipelined", Cohort: 32, Shards: 3}); p.Candidate != want {
+			t.Fatalf("workers=%d shards+cohort pinned: fallback = %v, want %v", workers, p.Candidate, want)
+		}
 	}
-	// Multicore: the sharded cohort pipeline.
-	p = Decide(st, Constraints{Workers: 4}, nil)
-	if p.Backend != "cpu-pipelined" || p.Shards != 4 {
-		t.Fatalf("multicore fallback = %v", p.Candidate)
+	// A measurement can still crown a sharded shape.
+	p := Decide(st, Constraints{Workers: 4}, []Measurement{
+		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort}, StepsPerSec: 100},
+		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: 64, Shards: 4}, StepsPerSec: 130},
+	})
+	if p.Shards != 4 || p.Source != "calibrated" {
+		t.Fatalf("measured sharded winner not adopted: %v (%s)", p.Candidate, p.Source)
 	}
 }
 
@@ -317,8 +335,8 @@ func TestPlannerDeterministicAndDrift(t *testing.T) {
 	}
 	// Settle the EWMA (MinObservations 1 adopts the first level), then
 	// drift far beyond the factor.
-	p1.Observe(cfg, 100)
-	p1.Observe(cfg, 1000)
+	p1.Observe(cfg, 64, 100)
+	p1.Observe(cfg, 64, 1000)
 	repl, err := p1.PlanFor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -335,5 +353,92 @@ func TestPlannerDeterministicAndDrift(t *testing.T) {
 	st := p1.Status()
 	if len(st) != 1 || st[0].Recalibrations != 1 {
 		t.Fatalf("status = %+v, want one class with one recalibration", st)
+	}
+}
+
+// TestObserveDriftIsPerBatchSize: drift compares a batch with earlier
+// batches of its own size. A service alternating request-sized and
+// coalesced batches, each at its own steady speed, is not drifting —
+// however far apart the two speeds are — while a slowdown among
+// same-size batches is.
+func TestObserveDriftIsPerBatchSize(t *testing.T) {
+	g := testGraph(t)
+	cfg := walk.DefaultConfig(walk.URW)
+	opts := Options{MinObservations: 4, DriftFactor: 2}
+	p := New(g, Constraints{Workers: 1}, opts, nil)
+	base, err := p.PlanFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const small, large = 5e6, 40e6 // steps/s of 64- and 4096-query batches
+	for i := 0; i < 50; i++ {
+		p.Observe(cfg, 64, small)
+		p.Observe(cfg, 4096, large)
+	}
+	// Sizes within one power of two share a bucket and a level.
+	for i := 0; i < 10; i++ {
+		p.Observe(cfg, 100, small)
+	}
+	if st := p.Status(); st[0].Recalibrations != 0 || st[0].Observations != 110 {
+		t.Fatalf("steady mixed-size traffic: %d recalibrations over %d observations, want 0 over 110",
+			st[0].Recalibrations, st[0].Observations)
+	}
+	if pl, _ := p.PlanFor(cfg); pl.Fingerprint() != base.Fingerprint() {
+		t.Fatalf("steady mixed-size traffic re-planned: %s -> %s", base.Fingerprint(), pl.Fingerprint())
+	}
+	// The large batches slow down threefold; the small ones do not move.
+	for i := 0; i < 20; i++ {
+		p.Observe(cfg, 64, small)
+		p.Observe(cfg, 4096, large/3)
+	}
+	if st := p.Status(); st[0].Recalibrations != 1 {
+		t.Fatalf("3x slowdown within one bucket: %d recalibrations, want 1", st[0].Recalibrations)
+	}
+	pl, err := p.PlanFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Revision != base.Revision+1 {
+		t.Fatalf("revision after in-bucket drift = %d, want %d", pl.Revision, base.Revision+1)
+	}
+}
+
+// TestObserveIgnoresBatchesBelowProbeSize: batches smaller than the
+// calibration probes are reported but never judged. A 64-query batch
+// runs for a fraction of a millisecond; its speed follows the scheduler
+// and the load beside it, and a sweep it set off would run under that
+// same load.
+func TestObserveIgnoresBatchesBelowProbeSize(t *testing.T) {
+	g := testGraph(t)
+	cfg := walk.DefaultConfig(walk.URW)
+	p := New(g, Constraints{Workers: 1}, Options{Queries: 1024, MinObservations: 4, DriftFactor: 2}, nil)
+	if _, err := p.PlanFor(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		p.Observe(cfg, 64, 6e6)
+		p.Observe(cfg, 1023, 30e6)
+	}
+	for i := 0; i < 40; i++ {
+		p.Observe(cfg, 64, 1e6)
+		p.Observe(cfg, 1023, 5e6)
+	}
+	st := p.Status()
+	if st[0].Recalibrations != 0 || st[0].Observations != 120 {
+		t.Fatalf("slowdown below the probe size: %d recalibrations over %d observations, want 0 over 120",
+			st[0].Recalibrations, st[0].Observations)
+	}
+	if st[0].ObservedStepsPerSec > 6e6 {
+		t.Fatalf("observed %.3g steps/s, want the last bucket's settled level near 5e6", st[0].ObservedStepsPerSec)
+	}
+	// The same slowdown one query larger is drift.
+	for i := 0; i < 20; i++ {
+		p.Observe(cfg, 1024, 30e6)
+	}
+	for i := 0; i < 20; i++ {
+		p.Observe(cfg, 1024, 5e6)
+	}
+	if st := p.Status(); st[0].Recalibrations != 1 {
+		t.Fatalf("slowdown at the probe size: %d recalibrations, want 1", st[0].Recalibrations)
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +24,6 @@ type Planner struct {
 	mu      sync.Mutex
 	stats   GraphStats
 	statsAt uint64 // epoch the stats were computed under
-	probeG  *graph.CSR
 	classes map[Class]*classState
 }
 
@@ -32,13 +32,15 @@ type classState struct {
 	plan     Plan
 	measured []Measurement
 	calErr   string // why calibration fell back to stats, if it did
-	// Drift tracking: ewma of served steps/sec, the level at adoption
-	// time (set once observations settle), and counters.
-	ewma    float64
-	adopted float64
-	obs     int64
-	recals  int
-	stale   bool // next PlanFor must re-plan
+	// Drift tracking, one level per log2(batch queries) bucket: a batch's
+	// steps/sec depends on its size (fill/drain and per-call overhead
+	// amortize over it), so a 64-query batch and a coalesced 4096-query
+	// batch at their own steady speeds are not drift. last is the bucket
+	// observed most recently (what Status reports).
+	levels [driftBuckets]driftLevel
+	last   int
+	recals int
+	stale  bool // next PlanFor must re-plan
 	// Breaker demotion: while demoted the class serves the known-good
 	// cpu plan and prev holds the pre-demotion plan for Restore's
 	// half-open health probe. Demoted classes neither observe drift nor
@@ -46,6 +48,36 @@ type classState struct {
 	// lifecycle until restored.
 	demoted bool
 	prev    Plan
+}
+
+// driftBuckets covers batch sizes up to 2^31 queries.
+const driftBuckets = 32
+
+// driftLevel is the served-throughput record of one batch-size bucket:
+// the EWMA of served steps/sec, the level at adoption time (set once
+// MinObservations settle it), the observation count, and how many
+// observations in a row left the EWMA beyond DriftFactor of the adopted
+// level.
+type driftLevel struct {
+	ewma    float64
+	adopted float64
+	obs     int64
+	beyond  int
+}
+
+// resetDrift forgets every observation (a new plan starts a new record).
+func (cs *classState) resetDrift() {
+	cs.levels = [driftBuckets]driftLevel{}
+	cs.last = 0
+}
+
+// observations totals the class's observed batches across buckets.
+func (cs *classState) observations() int64 {
+	var n int64
+	for i := range cs.levels {
+		n += cs.levels[i].obs
+	}
+	return n
 }
 
 // ClassStatus is one class's externally visible planning state (see
@@ -102,16 +134,16 @@ func (p *Planner) RefreshStats(snap *graph.Snapshot) {
 	}
 }
 
-// probeGraph lazily builds (and caches) the calibration graph.
+// probeGraph builds the calibration graph. It is sampled afresh for each
+// sweep and dropped with it: an O(V) pass is small beside the sweep's
+// probes, while a cached sample (24 MB for RMAT-20) would stay live for
+// the planner's lifetime to serve re-plans that drift tracking makes
+// rare — and every live byte costs two at the collector's heap goal.
 func (p *Planner) probeGraph() *graph.CSR {
-	if p.probeG == nil {
-		if p.opts.SubgraphEdges < 0 {
-			p.probeG = p.g
-		} else {
-			p.probeG = SampleSubgraph(p.g, p.opts.SubgraphEdges)
-		}
+	if p.opts.SubgraphEdges < 0 {
+		return p.g
 	}
-	return p.probeG
+	return SampleSubgraph(p.g, p.opts.SubgraphEdges)
 }
 
 // PlanFor resolves the plan serving cfg's class, calibrating on first
@@ -137,7 +169,6 @@ func (p *Planner) PlanFor(cfg walk.Config) (Plan, error) {
 		source = "replanned"
 	}
 	st := p.stats
-	probeG := p.probeG
 	p.mu.Unlock()
 
 	// Calibration runs outside the planner lock: probes take real time
@@ -148,13 +179,8 @@ func (p *Planner) PlanFor(cfg walk.Config) (Plan, error) {
 	var ms []Measurement
 	var calErr string
 	if p.opts.Calibrate && p.runner != nil {
-		if probeG == nil {
-			p.mu.Lock()
-			probeG = p.probeGraph()
-			p.mu.Unlock()
-		}
 		var err error
-		ms, err = calibrate(probeG, p.g.NumEdges(), cfg, st, p.cons, p.opts, p.runner)
+		ms, err = calibrate(p.probeGraph(), p.g.NumEdges(), cfg, st, p.cons, p.opts, p.runner)
 		if err != nil {
 			calErr = err.Error()
 			ms = nil
@@ -177,18 +203,28 @@ func (p *Planner) PlanFor(cfg walk.Config) (Plan, error) {
 	cs.measured = ms
 	cs.calErr = calErr
 	cs.stale = false
-	cs.ewma, cs.adopted, cs.obs = 0, 0, 0
+	cs.resetDrift()
 	return pl, nil
 }
 
-// Observe feeds one served batch's realized steps/sec back into the
-// class. Once MinObservations batches have settled an EWMA, a drift
-// beyond DriftFactor of the adoption-time level (in either direction)
-// marks the class stale: the next PlanFor recalibrates and advances the
-// plan revision, so new sessions pick up the new reality while sessions
-// already serving the old plan finish undisturbed.
-func (p *Planner) Observe(cfg walk.Config, stepsPerSec float64) {
-	if stepsPerSec <= 0 {
+// Observe feeds one served batch — its query count and realized
+// steps/sec — back into the class. Levels are kept per log2(queries)
+// bucket, so drift means "batches of this size changed speed", never
+// "the batch size changed", and only batches at least as large as the
+// calibration probes (Options.Queries) are judged: a request-sized
+// batch runs for a fraction of a millisecond, so a scheduler hiccup
+// doubles its time, and a re-plan it sets off under load stalls requests
+// behind a sweep whose probes then compete with the traffic. Once
+// MinObservations batches have settled a
+// bucket's EWMA, an EWMA that stays beyond DriftFactor of its
+// adoption-time level (in either direction) for MinObservations
+// consecutive batches marks the class stale — a few slow batches behind
+// an epoch switch or a collection are not drift. The next PlanFor then
+// recalibrates and advances the plan revision, so new sessions pick up
+// the new reality while sessions already serving the old plan finish
+// undisturbed.
+func (p *Planner) Observe(cfg walk.Config, queries int, stepsPerSec float64) {
+	if queries <= 0 || stepsPerSec <= 0 {
 		return
 	}
 	cls := ClassOf(p.g, cfg)
@@ -198,21 +234,36 @@ func (p *Planner) Observe(cfg walk.Config, stepsPerSec float64) {
 	if cs == nil || cs.stale || cs.demoted {
 		return
 	}
-	if cs.ewma == 0 {
-		cs.ewma = stepsPerSec
+	cs.last = min(bits.Len(uint(queries))-1, driftBuckets-1)
+	lv := &cs.levels[cs.last]
+	if lv.ewma == 0 {
+		lv.ewma = stepsPerSec
 	} else {
-		cs.ewma = 0.3*stepsPerSec + 0.7*cs.ewma
+		lv.ewma = 0.3*stepsPerSec + 0.7*lv.ewma
 	}
-	cs.obs++
-	if cs.obs == int64(p.opts.MinObservations) {
-		cs.adopted = cs.ewma
+	lv.obs++
+	if queries < p.opts.Queries {
+		// Smaller than the probes the plan was chosen on: the batch times
+		// the dispatch overhead, the scheduler and whatever else shared
+		// the machine for its fraction of a millisecond, not the plan. It
+		// counts towards what Status reports and towards nothing else.
+		return
 	}
-	if cs.adopted > 0 && cs.obs > int64(p.opts.MinObservations) {
-		f := p.opts.DriftFactor
-		if cs.ewma > cs.adopted*f || cs.ewma < cs.adopted/f {
-			cs.stale = true
-			cs.recals++
+	if lv.adopted == 0 {
+		if lv.obs >= int64(p.opts.MinObservations) {
+			lv.adopted = lv.ewma
 		}
+		return
+	}
+	f := p.opts.DriftFactor
+	if lv.ewma > lv.adopted*f || lv.ewma < lv.adopted/f {
+		lv.beyond++
+	} else {
+		lv.beyond = 0
+	}
+	if lv.beyond >= p.opts.MinObservations {
+		cs.stale = true
+		cs.recals++
 	}
 }
 
@@ -249,7 +300,7 @@ func (p *Planner) Demote(cfg walk.Config, reason string) (Plan, bool) {
 	cs.demoted = true
 	cs.stale = false
 	cs.plan = pl
-	cs.ewma, cs.adopted, cs.obs = 0, 0, 0
+	cs.resetDrift()
 	return pl, true
 }
 
@@ -271,11 +322,10 @@ func (p *Planner) Restore(cfg walk.Config) (Plan, bool) {
 	}
 	prev := cs.prev
 	runner := p.runner
-	probeG := p.probeGraph()
 	p.mu.Unlock()
 
 	if runner != nil {
-		if err := p.healthProbe(probeG, prev.Candidate, cfg); err != nil {
+		if err := p.healthProbe(p.probeGraph(), prev.Candidate, cfg); err != nil {
 			return Plan{}, false
 		}
 	}
@@ -293,7 +343,7 @@ func (p *Planner) Restore(cfg walk.Config) (Plan, bool) {
 	cs.plan = pl
 	cs.demoted = false
 	cs.stale = false
-	cs.ewma, cs.adopted, cs.obs = 0, 0, 0
+	cs.resetDrift()
 	return pl, true
 }
 
@@ -335,8 +385,8 @@ func (p *Planner) Status() []ClassStatus {
 			Class:                cls,
 			Plan:                 cs.plan,
 			PredictedStepsPerSec: cs.plan.PredictedStepsPerSec,
-			ObservedStepsPerSec:  cs.ewma,
-			Observations:         cs.obs,
+			ObservedStepsPerSec:  cs.levels[cs.last].ewma,
+			Observations:         cs.observations(),
 			Recalibrations:       cs.recals,
 			CalibrationError:     cs.calErr,
 			Demoted:              cs.demoted,
@@ -363,7 +413,7 @@ func (p *Planner) Explain(cfg walk.Config) (string, error) {
 	var obs float64
 	var nobs int64
 	if cs != nil {
-		ms, calErr, obs, nobs = cs.measured, cs.calErr, cs.ewma, cs.obs
+		ms, calErr, obs, nobs = cs.measured, cs.calErr, cs.levels[cs.last].ewma, cs.observations()
 	}
 	p.mu.Unlock()
 	var b strings.Builder

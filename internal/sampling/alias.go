@@ -263,7 +263,7 @@ func (s *AliasSampler) DrawAt(v graph.VertexID, r *rng.Stream) int {
 
 // TouchRow loads v's locator word and the boundary slots of its alias row,
 // returning mixed bits the caller must fold into a sink so the compiler
-// keeps the loads. Gather stages call it alongside the CSR row-locator
+// keeps the loads. Row Access stages call it alongside the CSR row-locator
 // load to put the alias row's cache lines in flight before the Sample
 // stage draws from them.
 func (s *AliasSampler) TouchRow(v graph.VertexID) uint64 {

@@ -59,7 +59,7 @@ type Context struct {
 	// HasPrev is false on the first hop, before any previous vertex exists.
 	HasPrev bool
 	// Deg, when positive, is Cur's already-known out-degree. Engines that
-	// fetch the row before sampling (the cohort Gather stage, Advance)
+	// fetch the row before sampling (the cohort Row Access stage, Advance)
 	// set it so degree-only samplers (uniform, rejection proposals) never
 	// reload row pointers. 0 means unknown. The Context stays pass-by-
 	// value small (one pointer beyond the original 24 bytes) on purpose:

@@ -114,7 +114,7 @@ func (s *Rejection) Accept(g *graph.CSR, ctx Context, c Candidate, r *rng.Stream
 }
 
 // Propose implements StagedSampler: the one-pass weighted reservoir scan
-// is a single stage over the row the Gather stage prefetched, so the
+// is a single stage over the row the Row Access stage prefetched, so the
 // proposal is always final.
 func (s *Reservoir) Propose(g *graph.CSR, ctx Context, _ Candidate, r *rng.Stream) Candidate {
 	res := s.scan(g, ctx, r)

@@ -213,7 +213,7 @@ func TestAliasStoreBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestAliasStoreTouchRow sanity-checks the Gather-stage prefetch helper:
+// TestAliasStoreTouchRow sanity-checks the Row Access prefetch helper:
 // nonpanicking for every vertex, including zero-degree ones.
 func TestAliasStoreTouchRow(t *testing.T) {
 	g := storeTestGraph(t, 8)

@@ -279,7 +279,7 @@ func (s *TieredAlias) DrawAt(v graph.VertexID, r *rng.Stream) int {
 
 // TouchRow loads v's locator word and the head of its row (hot arena
 // slot or cold tag byte), returning mixed bits the caller must fold into
-// a sink — the Gather-stage prefetch hook, mirroring
+// a sink — the Row Access prefetch hook, mirroring
 // AliasSampler.TouchRow.
 func (s *TieredAlias) TouchRow(v graph.VertexID) uint64 {
 	p := s.loc[v]

@@ -34,7 +34,7 @@ type EngineConfig struct {
 	MaxInflight int
 	// Cohort switches the per-shard workers from depth-first advancement
 	// to the step-interleaved cohort pipeline (walk.Cohort): each worker
-	// batches up to Cohort resident walkers and runs the Gather/Sample/Move
+	// batches up to Cohort resident walkers and runs the Row/Sample/Column/Move
 	// stages over all of them per pass, so row fetches overlap sampling
 	// across walkers. Walkers still migrate on boundary crossings with
 	// identical trajectories. 0 keeps depth-first advancement.
@@ -46,13 +46,13 @@ type EngineConfig struct {
 	// (a walk's path never depends on which worker advances it). 0 means
 	// 512.
 	RingCapacity int
-	// Layout optionally serves cohort Gather reads through a degree-aware
+	// Layout optionally serves cohort Row Access reads through a degree-aware
 	// graph.Layout (hub rows in a compact cache-resident arena). It must
 	// be built over the engine's graph; content identity makes it
 	// trajectory-neutral. Ignored when Cohort == 0.
 	Layout *graph.Layout
 	// Tiered optionally serves row reads through a tiered store (hot
-	// arena + compressed cold CSR): cohort workers route their Gather
+	// arena + compressed cold CSR): cohort workers route their Row Access
 	// stage through it and depth-first workers advance through per-worker
 	// TierViews. It must be built over the engine's graph; content
 	// identity makes it trajectory-neutral. Mutually exclusive with
@@ -444,7 +444,7 @@ func (r *run) workerDFLoop(wi int) {
 
 // workerCohort is the cohort-stepping variant: arrivals are popped
 // straight into free lane records and admitted to the walk.Cohort, which
-// advances all resident walkers one Gather/Sample/Move pass at a time —
+// advances all resident walkers one Row/Sample/Column/Move pass at a time —
 // one walker's CSR row fetch overlaps the sampling and move work of the
 // rest. Ejection is decided per hop by the depart callback (the same
 // resident-hub / owner check the depth-first worker makes); ejected

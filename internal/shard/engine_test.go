@@ -296,18 +296,37 @@ func TestEngineTinyInflightLiveness(t *testing.T) {
 }
 
 // TestEngineCohortStepping pins the cohort-stepping worker: an engine
-// with Cohort > 0 runs walkers through the batched Gather/Sample/Move
-// pipeline inside each shard worker and must stay byte-identical to the
-// golden engine across shard counts, cohort sizes, and tight inflight
-// bounds, with migration traffic still flowing (walkers eject mid-cohort).
+// with Cohort > 0 runs walkers through the batched Row Access / Sample /
+// Column Access / Move pipeline inside each shard worker and must stay
+// byte-identical to the golden engine across shard counts, cohort sizes,
+// and tight inflight bounds, with migration traffic still flowing
+// (walkers eject mid-cohort through the Move stage's depart check). The
+// weighted graph covers the direct-draw passes (uniform with and without
+// PPR's teleport draw, alias) and the reservoir scan; the unweighted one
+// adds rejection lanes that park across passes before they depart.
 func TestEngineCohortStepping(t *testing.T) {
-	g, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
+	weighted, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AttachWeights()
-	for _, alg := range []walk.Algorithm{walk.URW, walk.DeepWalk, walk.Node2Vec} {
-		t.Run(alg.String(), func(t *testing.T) {
+	weighted.AttachWeights()
+	unweighted, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.CSR
+		alg  walk.Algorithm
+	}{
+		{"URW", weighted, walk.URW},
+		{"PPR", weighted, walk.PPR},
+		{"DeepWalk", weighted, walk.DeepWalk},
+		{"Node2Vec", weighted, walk.Node2Vec},
+		{"Node2Vec-unweighted", unweighted, walk.Node2Vec},
+	} {
+		g, alg := tc.g, tc.alg
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := walk.DefaultConfig(alg)
 			cfg.WalkLength = 25
 			cfg.Seed = 13
@@ -446,7 +465,7 @@ func TestEngineSingleShardDegenerate(t *testing.T) {
 
 // TestEngineLayoutEquivalenceMatrix is the reordered-layout acceptance
 // matrix: every algorithm × shards {2, 4}, with the degree-aware hub
-// arena serving the cohort Gather stage, must stay byte-identical to the
+// arena serving the cohort Row Access stage, must stay byte-identical to the
 // sequential golden engine (the layout changes where row bytes live,
 // never what they are).
 func TestEngineLayoutEquivalenceMatrix(t *testing.T) {

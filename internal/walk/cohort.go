@@ -10,12 +10,12 @@ import (
 
 // Lane phases: where a walker stands in the step pipeline between passes.
 const (
-	// phaseGather: the walker needs its current vertex's row bounds before
-	// it can sample.
-	phaseGather = iota
-	// phaseSample: row bounds are loaded; a sampling decision is in
-	// progress (possibly parked mid-rejection across passes).
-	phaseSample
+	// phaseRow: the next pass starts a new hop with the Row Access stage.
+	phaseRow = iota
+	// phaseParked: a rejection sampler turned the lane's candidate down.
+	// The lane keeps its gathered row, skips Row Access and re-enters the
+	// Sample stage on the next pass.
+	phaseParked
 )
 
 // Per-pass lane fates, reset every pass.
@@ -32,15 +32,15 @@ const (
 
 // Cohort is the struct-of-arrays ring of in-flight walkers behind the
 // step-interleaved execution pipeline. Each walk step is decomposed into
-// three stages — Gather (fetch CSR row bounds, touch the neighbor slice so
-// its cache lines are in flight), Sample (run the stage-resumable
-// Propose/Accept decision), Move (advance state, extend the path, decide
-// termination) — and each Step call runs every stage as a tight batched
-// loop over all lanes. Row fetches for one walker therefore overlap the
-// sampling and move work of the others, instead of every walker's row
-// fetch being a dependent cache miss in a sequential Advance loop
-// (ThunderRW's step interleaving, the software shadow of the paper's
-// perfectly pipelined datapath).
+// the paper's three accesses plus the bookkeeping behind them — Row
+// Access (fetch the row bounds), Sample (draw the neighbor slot), Column
+// Access (fetch the one drawn column entry), Move (advance state, extend
+// the path, decide termination) — and each Step call runs every stage as
+// a tight batched loop over all lanes. The two memory accesses of a hop
+// are therefore each a loop of independent misses across walkers,
+// instead of every walker's fetches being dependent cache misses in a
+// sequential Advance loop (ThunderRW's step interleaving, the software
+// shadow of the paper's perfectly pipelined datapath).
 //
 // Hot per-walker fields live in parallel arrays; the lane only touches its
 // backing State (path append) and RNG stream through pointers. All RNG
@@ -56,16 +56,18 @@ type Cohort struct {
 	lay     *graph.Layout // optional degree-aware row source
 	sampler sampling.StagedSampler
 	cfg     Config
+	kind    sampling.Kind
 	// scanRow marks samplers that read the whole neighbor row per
-	// decision (reservoir, metapath): for those, Gather prefetches the
-	// row's interior cache lines too. Single-element samplers (uniform,
-	// alias, rejection) get only the row ends — touching more would burn
+	// decision (reservoir, metapath): for those, Row Access prefetches
+	// the row's interior cache lines too. Rejection reads single
+	// candidates and gets only the row ends — touching more would burn
 	// bandwidth on lines the Sample stage never reads.
 	scanRow bool
-	// aliasStore, set when the sampler is the flat alias store, lets
-	// Gather touch the lane's locator word and alias-row boundary slots
+	// aliasStore, set when the sampler is the flat alias store, lets Row
+	// Access touch the lane's locator word and alias-row boundary slots
 	// alongside the CSR row locator, so the arena lines the Sample
-	// stage's draw will hit are already in flight.
+	// stage's draw will hit are already in flight — and lets the Sample
+	// stage call the draw directly.
 	aliasStore *sampling.AliasSampler
 	// tieredAlias is aliasStore's counterpart for the tiered alias store
 	// (kept as a second concrete field so the flat path's direct call
@@ -79,7 +81,7 @@ type Cohort struct {
 	// way).
 	arenaCol []graph.VertexID
 
-	// Tiered-store state (SetTiered). The Gather stage decodes cold rows
+	// Tiered-store state (SetTiered). The Row Access stage decodes cold rows
 	// into per-lane scratch that persists across passes — a lane parked
 	// mid-rejection re-enters Sample without re-decoding — and the
 	// Sample stage hands the sampler a per-lane RowView so it never
@@ -106,29 +108,33 @@ type Cohort struct {
 	needW bool
 	// slotKind marks samplers that consume only the degree plus one drawn
 	// neighbor slot per hop (uniform draws by index, alias draws from its
-	// own store): under a tiered store their cold rows skip the full
-	// decode and the Move stage reads the one slot straight from the
-	// compressed arena.
+	// own store): Row Access never touches their rows, and under a tiered
+	// store their cold rows skip the full decode — Column Access reads the
+	// one slot straight from the compressed arena.
 	slotKind bool
 
 	// Struct-of-arrays lane state. The gathered row is kept as scalar
 	// locator fields (bounds plus which array) rather than a slice
-	// header: the Gather loop's usefulness is how many independent row
-	// misses it keeps in flight, and a leaner loop body keeps more
+	// header: the Row Access loop's usefulness is how many independent
+	// row misses it keeps in flight, and a leaner loop body keeps more
 	// iterations inside the out-of-order window.
 	cur, prev []graph.VertexID
 	hasPrev   []bool
 	step      []int32
-	lo, hi    []int64 // gathered row bounds in Col or the hub arena
-	arena     []bool  // gathered row lives in the hub arena
-	cand      []sampling.Candidate
-	phase     []uint8
-	fate      []uint8
-	tag       []int32
-	st        []*State
-	r         []*rng.Stream
+	lo, hi    []int64          // gathered row bounds in Col or the hub arena
+	arena     []bool           // gathered row lives in the hub arena
+	idx       []int32          // Sample's accepted slot within the row
+	nxt       []graph.VertexID // Column Access's fetched neighbor
+	// cand is the resume state of a decision parked mid-rejection; it is
+	// the zero Candidate whenever no decision is in progress.
+	cand  []sampling.Candidate
+	phase []uint8
+	fate  []uint8
+	tag   []int32
+	st    []*State
+	r     []*rng.Stream
 
-	// touch sinks the Gather stage's cache-warming loads so the compiler
+	// touch sinks the Row Access stage's cache-warming loads so the compiler
 	// cannot discard them.
 	touch uint64
 }
@@ -149,6 +155,7 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 	return &Cohort{
 		g:           g,
 		sampler:     ss,
+		kind:        kind,
 		cfg:         cfg,
 		scanRow:     kind == sampling.KindReservoir || kind == sampling.KindMetaPath,
 		slotKind:    kind == sampling.KindUniform || kind == sampling.KindAlias,
@@ -161,6 +168,8 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 		lo:          make([]int64, size),
 		hi:          make([]int64, size),
 		arena:       make([]bool, size),
+		idx:         make([]int32, size),
+		nxt:         make([]graph.VertexID, size),
 		cand:        make([]sampling.Candidate, size),
 		phase:       make([]uint8, size),
 		fate:        make([]uint8, size),
@@ -170,7 +179,7 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 	}, nil
 }
 
-// SetLayout makes the Gather stage serve neighbor rows from a
+// SetLayout makes the Row Access stage serve neighbor rows from a
 // degree-aware graph.Layout instead of the raw CSR — hub rows come from
 // the layout's compact cache-resident arena. The layout must be built
 // over the cohort's graph; because a Layout is content-identical to its
@@ -184,7 +193,7 @@ func (c *Cohort) SetLayout(l *graph.Layout) {
 	}
 }
 
-// SetTiered routes the Gather stage through a tiered graph store: hot
+// SetTiered routes the Row Access stage through a tiered graph store: hot
 // rows come from the store's uncompressed arena exactly like a Layout's
 // hub rows, cold rows are decoded row-at-a-time into per-lane scratch,
 // and the Sample stage serves the sampler a staged RowView — Sample and
@@ -284,8 +293,14 @@ func (c *Cohort) Admit(st *State, r *rng.Stream, tag int32) bool {
 		c.ovl[i] = false
 	}
 	c.cand[i] = sampling.Candidate{}
-	c.phase[i] = phaseGather
+	c.phase[i] = phaseRow
 	c.fate[i] = fateNone
+	if st.Step >= c.cfg.WalkLength {
+		// Already at its length (Advance's first check): the next pass
+		// retires it before any draw. Move applies the same bound after
+		// every hop, so the stages themselves never re-check it.
+		c.fate[i] = fateRetire
+	}
 	c.tag[i] = tag
 	c.st[i] = st
 	c.r[i] = r
@@ -356,12 +371,12 @@ func (c *Cohort) Reset() {
 	}
 }
 
-// gatherOverlay is the Gather-stage hook for epoch snapshots (c.snap
+// overlayRow is the Row Access hook for epoch snapshots (c.snap
 // non-nil): when lane i's vertex is dirty for the serving epoch it
 // stages the snapshot's merged row (zero-degree merged rows retire) and
 // reports true — the caller skips its base-row gather. Clean vertices
 // clear the lane's overlay mark and gather from the base as usual.
-func (c *Cohort) gatherOverlay(i int, v graph.VertexID) bool {
+func (c *Cohort) overlayRow(i int, v graph.VertexID) bool {
 	if !c.snap.Dirty(v) {
 		c.ovl[i] = false
 		return false
@@ -381,12 +396,13 @@ func (c *Cohort) gatherOverlay(i int, v graph.VertexID) bool {
 	if c.aliasStore != nil {
 		c.touch ^= c.aliasStore.TouchRow(v)
 	}
-	c.cand[i] = sampling.Candidate{}
-	c.phase[i] = phaseSample
 	return true
 }
 
-// Step runs one Gather→Sample→Move pass over every lane.
+// Step runs one Row Access → Sample → Column Access → Move pass over
+// every lane — the paper's §V-A pipeline, each memory access its own
+// tight loop so a cohort's worth of independent misses is in flight at
+// once.
 //
 // depart, when non-nil, is consulted after each completed hop with the
 // lane's tag and the walker's new vertex; returning true ejects the lane
@@ -399,38 +415,40 @@ func (c *Cohort) gatherOverlay(i int, v graph.VertexID) bool {
 // callbacks still run, so the cohort stays consistent).
 //
 // Walkers parked mid-rejection stay in the Sample stage across passes and
-// skip Gather — the stage-resumable re-entry that keeps Node2Vec's
+// skip Row Access — the stage-resumable re-entry that keeps Node2Vec's
 // rejection loop from stalling the whole cohort.
 func (c *Cohort) Step(
 	depart func(tag int32, cur graph.VertexID) bool,
 	eject func(tag int32),
 	retire func(tag int32) error,
 ) error {
+	c.rowAccess()
+	c.sample()
+	c.columnAccess()
+	c.move(depart)
+	return c.sweep(eject, retire)
+}
+
+// rowAccess fetches the neighbor row bounds for every lane entering a new
+// step. Sinks retire here, before any RNG draw, exactly as Advance orders
+// it (the walk-length bound, Advance's other pre-draw check, is applied
+// by Admit and after every hop by Move). The loop is specialized on the
+// row source once per pass — the body must stay lean enough that many
+// lanes' independent misses overlap inside the out-of-order window, which
+// is the whole point of the stage.
+func (c *Cohort) rowAccess() {
 	g := c.g
-	// Gather: fetch the neighbor row bounds for every lane entering a new
-	// step and touch the row's ends (plus its interior cache lines for
-	// full-row-scan samplers), so the row's lines are in flight before the
-	// Sample stage reads them. Termination conditions that precede
-	// sampling (walk length, sinks) are decided here, before any RNG
-	// draw, exactly as Advance orders them. The loop is specialized on
-	// the row source once per pass — the body must stay lean enough that
-	// many lanes' independent misses overlap inside the out-of-order
-	// window, which is the whole point of the stage.
 	if c.tiered != nil {
 		// Tiered variant: hot rows resolve to the uncompressed hot arena
 		// (one locator load, like the Layout path); cold rows decode into
 		// the lane's scratch, which persists across passes — a lane parked
 		// mid-rejection re-enters Sample without re-decoding.
 		for i := 0; i < c.n; i++ {
-			if c.phase[i] != phaseGather {
-				continue
-			}
-			if int(c.step[i]) >= c.cfg.WalkLength {
-				c.fate[i] = fateRetire
+			if c.phase[i] != phaseRow {
 				continue
 			}
 			v := c.cur[i]
-			if c.snap != nil && c.gatherOverlay(i, v) {
+			if c.snap != nil && c.overlayRow(i, v) {
 				continue
 			}
 			off, deg, hot := c.tiered.Locate(v)
@@ -449,8 +467,8 @@ func (c *Cohort) Step(
 					}
 				}
 			} else if c.slotKind {
-				// Slot fast path: the sampler reads only the degree and the
-				// Move stage one drawn slot, so the row stays encoded. lo
+				// Slot fast path: the sampler reads only the degree and
+				// Column Access one drawn slot, so the row stays encoded. lo
 				// carries the cold byte offset; hi keeps Deg = hi-lo intact.
 				c.lo[i], c.hi[i] = off, off+int64(deg)
 				c.arena[i], c.scr[i] = false, false
@@ -470,52 +488,15 @@ func (c *Cohort) Step(
 			if c.tieredAlias != nil {
 				c.touch ^= c.tieredAlias.TouchRow(v)
 			}
-			c.cand[i] = sampling.Candidate{}
-			c.phase[i] = phaseSample
 		}
-	} else if c.lay == nil {
-		for i := 0; i < c.n; i++ {
-			if c.phase[i] != phaseGather {
-				continue
-			}
-			if int(c.step[i]) >= c.cfg.WalkLength {
-				c.fate[i] = fateRetire
-				continue
-			}
-			v := c.cur[i]
-			if c.snap != nil && c.gatherOverlay(i, v) {
-				continue
-			}
-			lo, hi := g.RowPtr[v], g.RowPtr[v+1]
-			if lo == hi {
-				c.fate[i] = fateRetire // zero out-degree: immediate termination
-				continue
-			}
-			c.lo[i], c.hi[i] = lo, hi
-			c.touch ^= uint64(g.Col[lo]) ^ uint64(g.Col[hi-1])
-			if c.scanRow {
-				for off := lo + 16; off < hi && off <= lo+112; off += 16 {
-					c.touch ^= uint64(g.Col[off])
-				}
-			}
-			if c.aliasStore != nil {
-				c.touch ^= c.aliasStore.TouchRow(v)
-			}
-			c.cand[i] = sampling.Candidate{}
-			c.phase[i] = phaseSample
-		}
-	} else {
+	} else if c.lay != nil {
 		// Layout variant: one packed-locator load replaces the two
 		// row-pointer loads, and hub rows resolve to the compact arena.
 		for i := 0; i < c.n; i++ {
-			if c.phase[i] != phaseGather {
+			if c.phase[i] != phaseRow {
 				continue
 			}
-			if int(c.step[i]) >= c.cfg.WalkLength {
-				c.fate[i] = fateRetire
-				continue
-			}
-			if c.snap != nil && c.gatherOverlay(i, c.cur[i]) {
+			if c.snap != nil && c.overlayRow(i, c.cur[i]) {
 				continue
 			}
 			lo, deg, inArena := c.lay.Locate(c.cur[i])
@@ -539,15 +520,116 @@ func (c *Cohort) Step(
 			if c.aliasStore != nil {
 				c.touch ^= c.aliasStore.TouchRow(c.cur[i])
 			}
-			c.cand[i] = sampling.Candidate{}
-			c.phase[i] = phaseSample
+		}
+	} else {
+		// Flat CSR. The lane arrays and loop-invariant flags are hoisted
+		// into locals: every instruction saved here is room for one more
+		// lane's miss inside the out-of-order window.
+		n := c.n
+		phase, fate, cur := c.phase[:n], c.fate[:n], c.cur[:n]
+		los, his := c.lo[:n], c.hi[:n]
+		rowPtr, snap, readsRow, alias := g.RowPtr, c.snap, !c.slotKind, c.aliasStore
+		if snap == nil && !readsRow && alias == nil {
+			// Uniform draws on an unversioned graph (URW, PPR): the two
+			// row-pointer loads and nothing else. The sampler never reads
+			// the row — Column Access fetches the one drawn entry — and a
+			// body without calls keeps every array base in a register.
+			for i := 0; i < n; i++ {
+				if phase[i] != phaseRow {
+					continue
+				}
+				v := cur[i]
+				hi := rowPtr[v+1]
+				lo := rowPtr[v]
+				if lo == hi {
+					fate[i] = fateRetire // zero out-degree: immediate termination
+					continue
+				}
+				los[i], his[i] = lo, hi
+			}
+			return
+		}
+		// The same loads plus what the lane's sampler or snapshot needs:
+		// the overlay check, the row's ends for samplers that read it
+		// (rejection, reservoir, metapath; full-row scans also its
+		// interior), the alias store's locator and row ends.
+		for i := 0; i < n; i++ {
+			if phase[i] != phaseRow {
+				continue
+			}
+			v := cur[i]
+			if snap != nil && c.overlayRow(i, v) {
+				continue
+			}
+			hi := rowPtr[v+1]
+			lo := rowPtr[v]
+			if lo == hi {
+				fate[i] = fateRetire // zero out-degree: immediate termination
+				continue
+			}
+			los[i], his[i] = lo, hi
+			if readsRow {
+				c.touch ^= uint64(g.Col[lo]) ^ uint64(g.Col[hi-1])
+				if c.scanRow {
+					for off := lo + 16; off < hi && off <= lo+112; off += 16 {
+						c.touch ^= uint64(g.Col[off])
+					}
+				}
+			}
+			if alias != nil {
+				c.touch ^= alias.TouchRow(v)
+			}
 		}
 	}
-	// Sample: one Propose (and, for two-phase samplers, one Accept) per
-	// lane per pass. Rejected candidates park in the lane and re-enter
-	// next pass instead of spinning inline.
+}
+
+// sample runs one sampling decision attempt per lane. The pass is chosen
+// once by the sampler's kind: the slot kinds draw directly (uniform from
+// the gathered degree, alias from the flat store — no interface dispatch,
+// Context build or Candidate store per lane); every other sampler runs
+// the stage-resumable Propose/Accept protocol, where a rejected candidate
+// parks in the lane and re-enters next pass instead of spinning inline.
+// All paths draw from the lane's own stream in Advance's order.
+func (c *Cohort) sample() {
+	switch {
+	case c.kind == sampling.KindUniform:
+		n := c.n
+		fate, idx, rs := c.fate[:n], c.idx[:n], c.r[:n]
+		los, his := c.lo[:n], c.hi[:n]
+		for i := 0; i < n; i++ {
+			if fate[i] != fateNone {
+				continue
+			}
+			idx[i] = int32(rs[i].Intn(int(his[i] - los[i])))
+			fate[i] = fateMove
+		}
+	case c.aliasStore != nil:
+		n := c.n
+		fate, idx, rs, cur := c.fate[:n], c.idx[:n], c.r[:n], c.cur[:n]
+		alias := c.aliasStore
+		for i := 0; i < n; i++ {
+			if fate[i] != fateNone {
+				continue
+			}
+			k := alias.DrawAt(cur[i], rs[i])
+			if k < 0 {
+				fate[i] = fateRetire // no alias row
+				continue
+			}
+			idx[i] = int32(k)
+			fate[i] = fateMove
+		}
+	default:
+		c.sampleStaged()
+	}
+}
+
+// sampleStaged is the Sample pass for samplers that read rows or resume
+// across passes (rejection, reservoir, metapath, the tiered alias store).
+func (c *Cohort) sampleStaged() {
+	g := c.g
 	for i := 0; i < c.n; i++ {
-		if c.fate[i] != fateNone || c.phase[i] != phaseSample {
+		if c.fate[i] != fateNone {
 			continue
 		}
 		ctx := sampling.Context{Cur: c.cur[i], Prev: c.prev[i], HasPrev: c.hasPrev[i], Deg: int32(c.hi[i] - c.lo[i]), Step: int(c.step[i])}
@@ -583,64 +665,99 @@ func (c *Cohort) Step(
 			ctx.Mem = m
 		}
 		cand := c.sampler.Propose(g, ctx, c.cand[i], c.r[i])
-		c.cand[i] = cand
-		if cand.Final || c.sampler.Accept(g, ctx, cand, c.r[i]) {
-			if cand.Index < 0 {
-				c.fate[i] = fateRetire // no selectable neighbor
-			} else {
-				c.fate[i] = fateMove
+		if !cand.Final && !c.sampler.Accept(g, ctx, cand, c.r[i]) {
+			c.cand[i] = cand // the next pass resumes from here
+			c.phase[i] = phaseParked
+			continue
+		}
+		c.cand[i] = sampling.Candidate{}
+		if cand.Index < 0 {
+			c.fate[i] = fateRetire // no selectable neighbor
+			continue
+		}
+		c.idx[i] = int32(cand.Index)
+		c.fate[i] = fateMove
+	}
+}
+
+// columnAccess reads the one column entry each accepted lane drew:
+// nxt[i] = base[lo[i]+idx[i]]. On the flat store that is the whole loop
+// body, so the misses of every moving lane overlap; the other row sources
+// resolve which array the lane's row lives in first.
+func (c *Cohort) columnAccess() {
+	if c.tiered == nil && c.lay == nil && c.snap == nil {
+		n := c.n
+		fate, los, idx, nxt, col := c.fate[:n], c.lo[:n], c.idx[:n], c.nxt[:n], c.g.Col
+		for i := 0; i < n; i++ {
+			if fate[i] == fateMove {
+				nxt[i] = col[los[i]+int64(idx[i])]
 			}
 		}
+		return
 	}
-	// Move: apply accepted hops, extend paths, and decide continuation —
-	// the PPR teleport draw comes from the lane's stream immediately after
-	// its accept draw, preserving Advance's per-walker order.
 	for i := 0; i < c.n; i++ {
 		if c.fate[i] != fateMove {
 			continue
 		}
-		var next graph.VertexID
-		if c.ovl != nil && c.ovl[i] {
+		switch {
+		case c.ovl != nil && c.ovl[i]:
 			// Overlay lane: the merged row replaced every base source
 			// (checked first — its arena/scr marks are cleared, so the
-			// tiered branch below would misroute it to the cold arena).
-			next = c.ovRow[i][c.cand[i].Index]
-		} else if c.tiered != nil && !c.arena[i] && !c.scr[i] {
+			// tiered case below would misroute it to the cold arena).
+			c.nxt[i] = c.ovRow[i][c.idx[i]]
+		case c.tiered != nil && !c.arena[i] && !c.scr[i]:
 			// Slot-kind cold lane: the row never decoded; lo is the cold
-			// byte offset (Gather's fast path).
-			next = c.tiered.ColdEntryAt(c.cur[i], c.lo[i], int32(c.cand[i].Index))
-		} else {
-			base := g.Col
-			if c.arena[i] {
-				base = c.arenaCol
-			}
-			if c.scr != nil && c.scr[i] {
-				base = c.rowBuf[i] // decoded cold row; lo is 0
-			}
-			next = base[c.lo[i]+int64(c.cand[i].Index)]
+			// byte offset (Row Access's fast path).
+			c.nxt[i] = c.tiered.ColdEntryAt(c.cur[i], c.lo[i], c.idx[i])
+		case c.scr != nil && c.scr[i]:
+			c.nxt[i] = c.rowBuf[i][c.idx[i]] // decoded cold row; lo is 0
+		case c.arena[i]:
+			c.nxt[i] = c.arenaCol[c.lo[i]+int64(c.idx[i])]
+		default:
+			c.nxt[i] = c.g.Col[c.lo[i]+int64(c.idx[i])]
 		}
-		c.prev[i], c.hasPrev[i] = c.cur[i], true
-		c.cur[i] = next
-		st := c.st[i]
-		st.Path = append(st.Path, next)
-		c.step[i]++
-		if c.cfg.Algorithm == PPR && c.r[i].Float64() < c.cfg.Alpha {
-			c.fate[i] = fateRetire // teleport ends the query
+	}
+}
+
+// move applies accepted hops, extends paths, and decides continuation —
+// the PPR teleport draw comes from the lane's stream immediately after
+// its accept draw, preserving Advance's per-walker order.
+func (c *Cohort) move(depart func(tag int32, cur graph.VertexID) bool) {
+	length := int32(c.cfg.WalkLength)
+	ppr, alpha := c.cfg.Algorithm == PPR, c.cfg.Alpha
+	n := c.n
+	phase, fate, step, nxt := c.phase[:n], c.fate[:n], c.step[:n], c.nxt[:n]
+	cur, prev, hasPrev, sts := c.cur[:n], c.prev[:n], c.hasPrev[:n], c.st[:n]
+	for i := 0; i < n; i++ {
+		if fate[i] != fateMove {
 			continue
 		}
-		if int(c.step[i]) >= c.cfg.WalkLength {
-			c.fate[i] = fateRetire
+		next := nxt[i]
+		prev[i], hasPrev[i] = cur[i], true
+		cur[i] = next
+		st := sts[i]
+		st.Path = append(st.Path, next)
+		step[i]++
+		if ppr && c.r[i].Float64() < alpha {
+			fate[i] = fateRetire // teleport ends the query
+			continue
+		}
+		if step[i] >= length {
+			fate[i] = fateRetire
 			continue
 		}
 		if depart != nil && depart(c.tag[i], next) {
-			c.fate[i] = fateDepart
+			fate[i] = fateDepart
 			continue
 		}
-		c.fate[i] = fateNone
-		c.phase[i] = phaseGather
+		fate[i] = fateNone
+		phase[i] = phaseRow
 	}
-	// Sweep: sync departing/finished lanes back into their States, hand
-	// them to the caller, and compact the ring.
+}
+
+// sweep syncs departing and finished lanes back into their States, hands
+// them to the caller, and compacts the ring.
+func (c *Cohort) sweep(eject func(tag int32), retire func(tag int32) error) error {
 	var err error
 	for i := 0; i < c.n; {
 		switch c.fate[i] {

@@ -14,13 +14,14 @@ type EmitFunc func(index int, q Query, path []graph.VertexID, steps int64) error
 
 // Pipeline drives a query batch through a Cohort: it keeps the cohort's
 // lanes full by injecting pending queries as walks retire, so the
-// Gather/Sample/Move stages always have a cohort's worth of independent
+// Row/Sample/Column/Move stages always have a cohort's worth of independent
 // row fetches in flight. One Pipeline serves one goroutine.
 //
-// Like Walker, a Pipeline owns preallocated per-lane path buffers and RNG
-// streams that are recycled across queries, so the steady-state hot path
-// performs zero allocations per step — Run itself allocates nothing (the
-// emit trampoline and slot pools are built at construction).
+// Like Walker, a Pipeline owns per-lane path buffers and RNG streams that
+// are recycled across queries, so the steady-state hot path performs zero
+// allocations per step — once every lane a batch needs has been used, Run
+// itself allocates nothing (the emit trampoline and slot pools are built
+// at construction).
 //
 // Output is byte-identical to Run's for the same seed: each walk draws
 // from its own query-keyed stream in Advance's order, so cohort size and
@@ -79,9 +80,6 @@ func NewPipelineWithSampler(g *graph.CSR, cfg Config, s sampling.Sampler, size i
 		indexOf: make([]int, size),
 		freeIDs: make([]int32, size),
 	}
-	for i := range p.states {
-		p.states[i].Path = make([]graph.VertexID, 0, cfg.WalkLength+1)
-	}
 	p.resetFree()
 	p.retireFn = func(tag int32) error {
 		st := &p.states[tag]
@@ -111,11 +109,11 @@ func (p *Pipeline) resetFree() {
 // CohortSize returns the pipeline's lane count.
 func (p *Pipeline) CohortSize() int { return p.cohort.Cap() }
 
-// SetLayout routes the cohort's Gather stage through a degree-aware
+// SetLayout routes the cohort's Row Access stage through a degree-aware
 // graph.Layout (see Cohort.SetLayout). Call before the first Run.
 func (p *Pipeline) SetLayout(l *graph.Layout) { p.cohort.SetLayout(l) }
 
-// SetTiered routes the cohort's Gather stage through a tiered store
+// SetTiered routes the cohort's Row Access stage through a tiered store
 // (see Cohort.SetTiered). Call before the first Run.
 func (p *Pipeline) SetTiered(t *graph.Tiered) { p.cohort.SetTiered(t) }
 
@@ -151,6 +149,12 @@ func (p *Pipeline) Run(queries []Query, emit EmitFunc) (int64, error) {
 			p.indexOf[slot] = next
 			next++
 			p.src.StreamInto(uint64(q.ID), &p.rngs[slot])
+			if p.states[slot].Path == nil {
+				// A lane's path buffer is allocated when the lane is first
+				// used: a cohort wider than the batches it serves costs no
+				// memory for its idle lanes.
+				p.states[slot].Path = make([]graph.VertexID, 0, p.cfg.WalkLength+1)
+			}
 			p.states[slot].Start(q)
 			p.cohort.Admit(&p.states[slot], &p.rngs[slot], slot)
 		}

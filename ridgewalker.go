@@ -13,7 +13,7 @@
 //     graph into edge-balanced shards with per-shard worker pools and
 //     batched walker migration across partition boundaries, and a
 //     step-interleaved variant (WalkPipelined, backend "cpu-pipelined")
-//     that decomposes each hop into batched Gather/Sample/Move stages
+//     that decomposes each hop into batched Row/Sample/Column/Move stages
 //     over cohorts of in-flight walkers so CSR row fetches overlap
 //     sampling — the software analogue of the paper's perfectly
 //     pipelined datapath. Both compose (Shards with Cohort) and both are
@@ -274,7 +274,7 @@ func WalkSharded(g *Graph, queries []Query, cfg WalkConfig, shards int) (*Result
 
 // WalkPipelined runs the step-interleaved software engine: each worker
 // advances a cohort of in-flight walks together through batched
-// Gather/Sample/Move stages, so one walk's CSR row fetch overlaps the
+// Row/Sample/Column/Move stages, so one walk's CSR row fetch overlaps the
 // sampling and move work of the others instead of stalling its own next
 // hop. The result is byte-identical to Walk for the same seed at any
 // cohort size. It is a thin wrapper over the "cpu-pipelined" execution

@@ -43,12 +43,12 @@ type ServiceConfig struct {
 	// other backends ignore it.
 	Shards int
 	// Cohort sets the cpu-pipelined backend's in-flight walker count per
-	// worker (the width of the batched Gather/Sample/Move stages). 0 means
-	// the backend default; other backends ignore it.
+	// worker (the width of the batched Row/Sample/Column/Move stages). 0
+	// means the backend default; other backends ignore it.
 	Cohort int
 	// HubCacheBytes, when positive, sizes the cpu-pipelined backend's
 	// degree-aware hub arena (the compact cache-resident copy of the
-	// highest-degree rows served to the cohort Gather stage). 0 leaves it
+	// highest-degree rows served to the cohort Row Access stage). 0 leaves it
 	// off; other backends ignore it.
 	HubCacheBytes int64
 	// MemoryBudgetBytes, when nonzero, serves the CPU backends through
@@ -182,6 +182,9 @@ type Service struct {
 	// s.mu (the pointer is swapped when CompactGraph replaces the base
 	// graph); the planner itself is internally synchronized.
 	planner *plan.Planner
+	// runs tells a batch's engine run whether it had the machine to
+	// itself; only those are fed to the planner.
+	runs runGauge
 
 	// admit is the front-door overload gate: every Submit/Stream passes
 	// its lane, tenant, query count, and deadline headroom through
@@ -264,6 +267,8 @@ type flushJob struct {
 	hasDL    bool
 	// seq breaks ties FIFO so deadline-free groups keep arrival order.
 	seq int64
+	// queuedAt is when the group entered the flush queue.
+	queuedAt time.Time
 }
 
 // flushHeap orders one lane's detached groups earliest-deadline-first:
@@ -349,6 +354,12 @@ type batchGroup struct {
 	requests []*request
 	queries  int
 	timer    *time.Timer
+	// born is when the group's first request was admitted; queued is how
+	// long the flushed group waited for a free dispatcher worker. The
+	// admission controller's feedback window is the time a group's slots
+	// were held, less that wait (which the budget itself creates).
+	born   time.Time
+	queued time.Duration
 	// planned/plan carry the resolved execution plan under the "auto"
 	// backend. The plan's fingerprint is part of the group key, so every
 	// co-batched request shares one plan revision and a drift-triggered
@@ -418,6 +429,7 @@ func newBatchGroup(cfg WalkConfig, base *graph.CSR, snap *graph.Snapshot, epoch 
 		plan:    pl,
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
+	g.born = time.Now()
 	return g
 }
 
@@ -660,16 +672,42 @@ func (s *Service) classKey(cfg WalkConfig) string {
 	return plan.ClassOf(base, cfg).String()
 }
 
+// runGauge tells an engine run whether another overlapped it. A run that
+// shared the machine measures load, not the plan, and an overloaded
+// service is the wrong moment to open a calibration sweep — so the
+// planner's drift tracking hears only of runs that had the machine to
+// themselves.
+type runGauge struct {
+	running atomic.Int32
+	starts  atomic.Int64
+}
+
+// begin marks a run started and returns its ticket for end.
+func (g *runGauge) begin() int64 {
+	ticket := g.starts.Add(1)
+	if g.running.Add(1) != 1 {
+		return -1 // another run is in progress
+	}
+	return ticket
+}
+
+// end marks the run finished and reports whether it ran alone: none was
+// in progress when it began and none began before it ended.
+func (g *runGauge) end(ticket int64) bool {
+	return g.running.Add(-1) == 0 && g.starts.Load() == ticket
+}
+
 // observePlan feeds a served batch's realized throughput back to the
-// planner (drift beyond the configured factor re-plans the class).
-func (s *Service) observePlan(cfg WalkConfig, steps int64, elapsed time.Duration) {
+// planner, keyed by the batch size the engine ran (drift beyond the
+// configured factor among same-size batches re-plans the class).
+func (s *Service) observePlan(cfg WalkConfig, queries int, steps int64, elapsed time.Duration) {
 	s.mu.Lock()
 	p := s.planner
 	s.mu.Unlock()
 	if p == nil || steps == 0 || elapsed <= 0 {
 		return
 	}
-	p.Observe(cfg, float64(steps)/elapsed.Seconds())
+	p.Observe(cfg, queries, float64(steps)/elapsed.Seconds())
 }
 
 // PlanStatus reports the auto backend's per-class planning state: the
@@ -723,6 +761,7 @@ func (s *Service) flushWorker() {
 			s.flushQs[lane] = nil // release the drained backing array
 		}
 		s.flushMu.Unlock()
+		j.grp.queued = time.Since(j.queuedAt)
 		s.runGroup(j.key, j.grp)
 		s.inflight.Done()
 	}
@@ -1065,7 +1104,7 @@ func (s *Service) flush(key string, grp *batchGroup) {
 	// Detached: no more joiners, so all-members-canceled may now cancel
 	// the group context.
 	grp.seal()
-	j := flushJob{key: key, grp: grp}
+	j := flushJob{key: key, grp: grp, queuedAt: time.Now()}
 	j.deadline, j.hasDL = grp.earliestDeadline()
 	s.flushMu.Lock()
 	s.flushSeq++
@@ -1093,8 +1132,11 @@ func (s *Service) deliver(grp *batchGroup, r *request, rep reply) {
 			s.admit.Expire(grp.lane, r.tenant, len(r.queries))
 		}
 	}
-	r.done <- rep
+	// Release before replying: a closed-loop caller that resubmits the
+	// moment it hears back must not be refused on account of the slots
+	// its own finished request still held.
 	s.admit.Release(grp.lane, len(r.queries))
+	r.done <- rep
 }
 
 // failGroup delivers err to every request the group has not yet
@@ -1210,8 +1252,10 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			all = append(all, r.queries...)
 		}
 		grp.setStage("run")
+		ticket := s.runs.begin()
 		start := time.Now()
 		res, err := ses.Run(ctx, exec.Batch{Queries: all, Heartbeat: &grp.hb})
+		alone := s.runs.end(ticket)
 		if err != nil {
 			if grp.stalled.Load() {
 				err = fmt.Errorf("%w: %v", ErrEngineStalled, err)
@@ -1221,15 +1265,18 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 		}
 		grp.setStage("deliver")
 		service := time.Since(start)
-		s.admit.Observe(len(all), service)
-		if grp.planned {
-			s.observePlan(grp.cfg, res.Steps, service)
+		s.admit.Observe(len(all), service, time.Since(grp.born)-grp.queued)
+		if grp.planned && alone {
+			s.observePlan(grp.cfg, len(all), res.Steps, service)
 		}
 		lo := 0
 		var steps int64
 		for _, r := range grp.requests {
 			hi := lo + len(r.queries)
 			sub := &Result{Paths: res.Paths[lo:hi:hi]}
+			if len(grp.requests) > 1 {
+				sub.Paths = ownPaths(sub.Paths)
+			}
 			for _, p := range sub.Paths {
 				sub.Steps += int64(len(p) - 1)
 			}
@@ -1261,7 +1308,7 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			continue
 		}
 		grp.setStage("deliver")
-		s.admit.Observe(len(r.queries), time.Since(start))
+		s.admit.Observe(len(r.queries), time.Since(start), 0)
 		s.deliver(grp, r, reply{res: &Result{Paths: res.Paths, Steps: res.Steps}})
 		s.record(backend, grp.cfg.Algorithm, grp.epoch, Counter{
 			Requests: 1,
@@ -1271,6 +1318,25 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 		})
 	}
 	return firstErr
+}
+
+// ownPaths copies one request's share of a coalesced batch result into
+// storage of its own. The engine packs a batch's paths into slabs in the
+// order walks finish, so without the copy a caller that keeps its reply
+// would keep the co-batched requests' paths alive with it.
+func ownPaths(paths [][]graph.VertexID) [][]graph.VertexID {
+	n := 0
+	for _, p := range paths {
+		n += len(p)
+	}
+	buf := make([]graph.VertexID, 0, n)
+	own := make([][]graph.VertexID, len(paths))
+	for i, p := range paths {
+		lo := len(buf)
+		buf = append(buf, p...)
+		own[i] = buf[lo:len(buf):len(buf)]
+	}
+	return own
 }
 
 // quarantineKey hashes one query's deterministic identity — the walk
@@ -1292,6 +1358,9 @@ func (s *Service) quarantined(cfg WalkConfig, queries []Query) bool {
 	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
+	if len(s.qcounts) == 0 {
+		return false // nothing tracked: skip hashing every query
+	}
 	for i := range queries {
 		if s.qcounts[quarantineKey(cfg, queries[i])] >= s.cfg.QuarantineThreshold {
 			return true
@@ -1519,6 +1588,7 @@ func (s *Service) Stream(ctx context.Context, cfg WalkConfig, queries []Query, f
 			return err // mid-stream shed: earlier chunks were delivered
 		}
 		var steps int64
+		chunkStart := time.Now()
 		cerr := fault.Contain("stream", func() error {
 			return e.ses.Stream(ctx, exec.Batch{Queries: chunk}, func(w WalkOutput) error {
 				steps += w.Steps
@@ -1542,12 +1612,14 @@ func (s *Service) Stream(ctx context.Context, cfg WalkConfig, queries []Query, f
 			return cerr
 		}
 		s.admit.Release(lane, len(chunk))
+		// One observation per admitted chunk: the chunk is the unit the
+		// gate admitted and the engine ran, whatever the stream's length.
+		s.admit.Observe(len(chunk), time.Since(chunkStart), 0)
 		served += len(chunk)
 	}
 	service := time.Since(start)
-	s.admit.Observe(served, service)
 	if planned {
-		s.observePlan(cfg, totalSteps, service)
+		s.observePlan(cfg, min(served, s.cfg.MaxBatch), totalSteps, service)
 	}
 	if s.breaker != nil {
 		s.breaker.Success(plan.ClassOf(base, cfg).String())
@@ -1592,7 +1664,7 @@ func (s *Service) InsertEdges(edges []Edge) error {
 	if err := s.vg.InsertEdges(edges); err != nil {
 		return err
 	}
-	s.pruneStaleSessions()
+	s.pruneStaleSessions(1)
 	s.refreshPlannerStats()
 	return nil
 }
@@ -1605,7 +1677,7 @@ func (s *Service) DeleteEdges(edges []Edge) error {
 	if err := s.vg.DeleteEdges(edges); err != nil {
 		return err
 	}
-	s.pruneStaleSessions()
+	s.pruneStaleSessions(1)
 	s.refreshPlannerStats()
 	return nil
 }
@@ -1618,7 +1690,7 @@ func (s *Service) DeleteEdges(edges []Edge) error {
 // requests are being served. Returns the new base graph.
 func (s *Service) CompactGraph() *Graph {
 	g := s.vg.Compact()
-	s.pruneStaleSessions()
+	s.pruneStaleSessions(0) // sessions over the old base share nothing with the new one
 	s.mu.Lock()
 	if s.planner != nil {
 		// Compaction replaces the base CSR, so the planner's statistics,
@@ -1664,17 +1736,24 @@ func (s *Service) refreshPlannerStats() {
 	p.RefreshStats(snap)
 }
 
-// pruneStaleSessions closes idle cached sessions keyed to epochs older
-// than the current one. Their keys can never be requested again (the
-// epoch only advances), so without pruning every mutation would leave a
-// dead session squatting in the LRU until cap pressure evicted it. Busy
-// stale sessions are left to finish and age out normally.
-func (s *Service) pruneStaleSessions() {
+// pruneStaleSessions closes idle cached sessions keyed to epochs more
+// than keep generations older than the current one. Their keys can never
+// be requested again (the epoch only advances), so without pruning every
+// mutation would leave a dead session squatting in the LRU until cap
+// pressure evicted it. Busy stale sessions are left to finish and age
+// out normally.
+//
+// Edge mutations keep one generation: the previous epoch's idle session
+// holds the last reference to the class's base sampler store, and closing
+// it before the new epoch's session has opened makes that session rebuild
+// the whole store (tens of milliseconds for an alias store, stalling the
+// first read of every epoch) instead of deriving the dirty rows.
+func (s *Service) pruneStaleSessions(keep uint64) {
 	epoch := s.vg.Epoch()
 	s.mu.Lock()
 	var victims []exec.Session
 	for k, e := range s.sessions {
-		if e.refs == 0 && e.epoch < epoch {
+		if e.refs == 0 && e.epoch+keep < epoch {
 			delete(s.sessions, k)
 			if e.ses != nil {
 				victims = append(victims, e.ses)

@@ -364,3 +364,33 @@ func TestServiceSubmitRejectsExpiredDeadline(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestServiceClosedLoopNeverRefusesItself pins the deliver ordering: a
+// request's admission slots are released before its reply is sent, so a
+// closed-loop caller that resubmits the moment it hears back — with a
+// budget of exactly one request — is never refused on account of the
+// slots its own finished request still held.
+func TestServiceClosedLoopNeverRefusesItself(t *testing.T) {
+	g := ringGraph(t, 256)
+	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.URW)
+	cfg.WalkLength = 4
+	cfg.Seed = 11
+	qs, err := ridgewalker.RandomQueries(g, cfg, 32, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
+		Backend:     "cpu",
+		MaxInFlight: len(qs),
+		Linger:      time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for i := 0; i < 2000; i++ {
+		if _, err := svc.Submit(context.Background(), cfg, qs); err != nil {
+			t.Fatalf("closed-loop submit %d refused: %v", i, err)
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"ridgewalker"
+	"ridgewalker/internal/sampling"
+	"ridgewalker/internal/walk"
 )
 
 func serviceMutations(g *ridgewalker.Graph) (ins, del []ridgewalker.Edge) {
@@ -250,4 +252,66 @@ func pathsKey(paths [][]ridgewalker.VertexID) string {
 		b = append(b, 0xFF, 0xFF, 0xFF, 0xFE)
 	}
 	return string(b)
+}
+
+// TestServiceEpochSwitchKeepsBaseSampler pins what an epoch switch costs
+// a weighted class. An edge mutation leaves the previous epoch's idle
+// session cached for one generation, so the class's base alias store
+// stays referenced and the new epoch's session derives its dirty rows
+// from it; pruning that session first would drop the store's last
+// reference and make every epoch's first read rebuild it whole. A
+// compaction replaces the base, so everything over the old one goes at
+// once.
+func TestServiceEpochSwitchKeepsBaseSampler(t *testing.T) {
+	g := serviceTestGraph(t)
+	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{Backend: "cpu-pipelined", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.DeepWalk)
+	cfg.WalkLength = 18
+	cfg.Seed = 9
+	qs, err := ridgewalker.RandomQueries(g, cfg, 64, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := walk.SamplerSpec(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := sampling.DefaultRegistry()
+	if n := reg.Refs(g, spec); n != 0 {
+		t.Fatalf("stale base refs before test: %d", n)
+	}
+	if _, err := svc.Submit(ctx, cfg, qs); err != nil {
+		t.Fatal(err)
+	}
+	ins, _ := serviceMutations(g)
+	for i := 0; i < 4; i++ {
+		// Alternate inserting and deleting the same edges: four epochs.
+		mutate := svc.InsertEdges
+		if i%2 == 1 {
+			mutate = svc.DeleteEdges
+		}
+		if err := mutate(ins); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg.Refs(g, spec); n == 0 {
+			t.Fatalf("epoch %d: the mutation dropped the base alias store's last reference", svc.GraphEpoch())
+		}
+		if _, err := svc.Submit(ctx, cfg, qs); err != nil {
+			t.Fatal(err)
+		}
+		// One generation, not a growing tail: the base store is borrowed
+		// by at most the previous and the current epoch's samplers.
+		if n := reg.Refs(g, spec); n > 2 {
+			t.Fatalf("epoch %d: %d references to the base alias store, want at most 2", svc.GraphEpoch(), n)
+		}
+	}
+	svc.CompactGraph()
+	if n := reg.Refs(g, spec); n != 0 {
+		t.Fatalf("after compaction the old base's alias store still has %d references", n)
+	}
 }
