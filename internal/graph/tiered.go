@@ -390,6 +390,11 @@ type TierView struct {
 	col  [tierViewSlots][]VertexID
 	wts  [tierViewSlots][]float32
 	hand int
+	// last is the slot RowAndWeights returned most recently. A miss never
+	// evicts it: a second-order sampler scanning that row probes
+	// HasEdge(prev, ·) next, and decoding prev over it would rewrite the
+	// row under the scan.
+	last int
 	// needRow / needW narrow what the view decodes to what the consumer's
 	// sampler actually reads (SetAccess). With needRow false the depth-
 	// first engines skip row materialization entirely — one ColdEntryAt
@@ -425,7 +430,8 @@ func (vw *TierView) Graph() *CSR { return vw.t.g }
 
 // Row returns v's neighbor list — content-identical to Graph().
 // Neighbors(v). Hot rows alias the hot arena; cold rows alias the view's
-// decode cache and stay valid until tierViewSlots further cold-row misses.
+// decode cache: the row returned last survives the next cold-row miss,
+// and every row survives tierViewSlots-2 further misses.
 func (vw *TierView) Row(v VertexID) []VertexID {
 	row, _ := vw.RowAndWeights(v)
 	return row
@@ -447,14 +453,19 @@ func (vw *TierView) RowAndWeights(v VertexID) ([]VertexID, []float32) {
 	}
 	for i := 0; i < tierViewSlots; i++ {
 		if vw.ok[i] && vw.v[i] == v {
+			vw.last = i
 			return vw.col[i], vw.wts[i]
 		}
 	}
 	i := vw.hand
-	vw.hand = (vw.hand + 1) % tierViewSlots
+	if i == vw.last {
+		i = (i + 1) % tierViewSlots
+	}
+	vw.hand = (i + 1) % tierViewSlots
 	vw.col[i], vw.wts[i] = t.DecodeRowInto(v, vw.col[i], vw.wts[i], t.g.Weighted() && vw.needW)
 	vw.v[i] = v
 	vw.ok[i] = true
+	vw.last = i
 	return vw.col[i], vw.wts[i]
 }
 

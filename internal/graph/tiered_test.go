@@ -221,6 +221,47 @@ func TestTierViewCacheAndHasEdge(t *testing.T) {
 	}
 }
 
+// TestTierViewMissKeepsLastRow drives the access order a second-order
+// sampler makes through an all-cold view: it holds cur's row from a cache
+// hit whose slot is next in eviction order, then probes HasEdge(prev, ·),
+// which misses. The miss must decode prev's row elsewhere, leaving the
+// slice being scanned intact.
+func TestTierViewMissKeepsLastRow(t *testing.T) {
+	const cur, prev = 0, 9
+	var edges []Edge
+	for v := VertexID(1); v <= 8; v++ {
+		edges = append(edges, Edge{Src: cur, Dst: v})
+	}
+	edges = append(edges, Edge{Src: prev, Dst: 10}, Edge{Src: prev, Dst: 11})
+	fillers := []VertexID{12, 13, 14}
+	for _, f := range fillers {
+		edges = append(edges, Edge{Src: f, Dst: 15})
+	}
+	g, err := Build(16, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTiered(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]VertexID(nil), g.Neighbors(cur)...)
+	vw := NewTierView(ts)
+	// Decode cur, then one filler per remaining slot: the eviction hand
+	// wraps back to cur's slot.
+	vw.Row(cur)
+	for _, f := range fillers[:tierViewSlots-1] {
+		vw.Row(f)
+	}
+	row := vw.Row(cur) // a hit
+	if !vw.HasEdge(prev, 10) || vw.HasEdge(prev, 3) {
+		t.Fatal("HasEdge through the view disagrees with the graph")
+	}
+	if !reflect.DeepEqual(row, want) {
+		t.Fatalf("cur's row %v was overwritten by the prev probe, want %v", row, want)
+	}
+}
+
 // TestTieredTouchRow makes sure the prefetch hook never faults across
 // tiers and degrees.
 func TestTieredTouchRow(t *testing.T) {

@@ -52,6 +52,13 @@ type Rejection struct {
 	P, Q float64
 	// maxBias = max(1/p, 1, 1/q), the acceptance envelope.
 	maxBias float64
+	// ret = 1/p is the return bias. low and high are min(1, 1/q) and
+	// max(1, 1/q): a coin below low accepts and one at or above high
+	// rejects whatever prev's adjacency, and between them the trip accepts
+	// iff HasEdge(prev, candidate) == near (the stay-near bias 1 is the
+	// larger one).
+	ret, low, high float64
+	near           bool
 	// MaxTrips bounds the rejection loop; on exhaustion the last candidate
 	// is accepted (bias toward exact sampling is negligible for sane p,q and
 	// the bound keeps hardware service time finite, as real designs do).
@@ -64,15 +71,58 @@ func NewRejection(p, q float64) (*Rejection, error) {
 	if !(p > 0) || !(q > 0) {
 		return nil, fmt.Errorf("sampling: node2vec p=%v q=%v must be > 0", p, q)
 	}
-	m := 1.0
-	if 1/p > m {
-		m = 1 / p
-	}
-	if 1/q > m {
-		m = 1 / q
-	}
-	return &Rejection{P: p, Q: q, maxBias: m, MaxTrips: 64}, nil
+	return &Rejection{
+		P: p, Q: q,
+		maxBias:  max(1/p, 1, 1/q),
+		ret:      1 / p,
+		low:      min(1, 1/q),
+		high:     max(1, 1/q),
+		near:     1/q < 1,
+		MaxTrips: 64,
+	}, nil
 }
+
+// Verdict is a rejection trip's outcome as far as its coin decides it.
+type Verdict uint8
+
+const (
+	// Rejected sends the decision back to Propose; Accepted takes the
+	// candidate.
+	Rejected Verdict = iota
+	Accepted
+	// NeedsProbe: the coin lies between the stay-near bias 1 and the
+	// explore bias 1/q, so only HasEdge(prev, candidate) decides; Probed
+	// finishes the trip.
+	NeedsProbe
+)
+
+// Decide is the acceptance rule of one rejection trip, the one copy that
+// Accept and the pipelined engine's Sample pass share. coin is the trip's
+// Float64 draw, taken whatever the bias (so drawing it before the probe
+// keeps the stream order); trips is the trip count so far including this
+// one; back reports whether the candidate is prev. It equals the verdict
+// of `coin·maxBias < node2vecBias(…) || trips >= MaxTrips`, and names a
+// probe only when the coin cannot tell.
+func (s *Rejection) Decide(coin float64, trips int, back bool) Verdict {
+	u := coin * s.maxBias
+	switch {
+	case trips >= s.MaxTrips:
+		return Accepted
+	case back:
+		if u < s.ret {
+			return Accepted
+		}
+		return Rejected
+	case u < s.low:
+		return Accepted
+	case !(u < s.high): // also rejects NaN, as the comparison it replaces does
+		return Rejected
+	}
+	return NeedsProbe
+}
+
+// Probed finishes a NeedsProbe trip from the adjacency probe's answer.
+func (s *Rejection) Probed(edge bool) bool { return edge == s.near }
 
 // Sample implements Sampler by running the Propose/Accept protocol to
 // completion: draw a candidate uniformly, accept with probability

@@ -107,10 +107,18 @@ func (s *Rejection) Propose(g *graph.CSR, ctx Context, prev Candidate, r *rng.St
 
 // Accept implements StagedSampler: accept with probability bias/maxBias,
 // or unconditionally once the trip bound is exhausted (the draw still
-// happens first, preserving the stream position of the inline loop).
+// happens first, preserving the stream position of the inline loop). The
+// coin is drawn before the adjacency probe, which runs only when the coin
+// falls between the stay-near and explore biases.
 func (s *Rejection) Accept(g *graph.CSR, ctx Context, c Candidate, r *rng.Stream) bool {
-	bias := node2vecBias(g, ctx.Mem, ctx.Prev, ctx.row(g)[c.Index], s.P, s.Q)
-	return r.Float64()*s.maxBias < bias || c.Trips >= s.MaxTrips
+	x := ctx.row(g)[c.Index]
+	switch s.Decide(r.Float64(), c.Trips, x == ctx.Prev) {
+	case Accepted:
+		return true
+	case Rejected:
+		return false
+	}
+	return s.Probed(hasEdge(g, ctx.Mem, ctx.Prev, x))
 }
 
 // Propose implements StagedSampler: the one-pass weighted reservoir scan

@@ -303,7 +303,10 @@ func TestEngineTinyInflightLiveness(t *testing.T) {
 // (walkers eject mid-cohort through the Move stage's depart check). The
 // weighted graph covers the direct-draw passes (uniform with and without
 // PPR's teleport draw, alias) and the reservoir scan; the unweighted one
-// adds rejection lanes that park across passes before they depart.
+// adds rejection lanes that park across passes before they depart. Those
+// migrate into another shard's cohort with HasPrev set, so Admit must
+// load their previous row for the Prev Access probe; the mirrored
+// (p, q) = (0.5, 2) cell takes that probe on the other side of the coin.
 func TestEngineCohortStepping(t *testing.T) {
 	weighted, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
 	if err != nil {
@@ -318,18 +321,23 @@ func TestEngineCohortStepping(t *testing.T) {
 		name string
 		g    *graph.CSR
 		alg  walk.Algorithm
+		p, q float64 // node2vec biases; zero keeps the defaults
 	}{
-		{"URW", weighted, walk.URW},
-		{"PPR", weighted, walk.PPR},
-		{"DeepWalk", weighted, walk.DeepWalk},
-		{"Node2Vec", weighted, walk.Node2Vec},
-		{"Node2Vec-unweighted", unweighted, walk.Node2Vec},
+		{"URW", weighted, walk.URW, 0, 0},
+		{"PPR", weighted, walk.PPR, 0, 0},
+		{"DeepWalk", weighted, walk.DeepWalk, 0, 0},
+		{"Node2Vec", weighted, walk.Node2Vec, 0, 0},
+		{"Node2Vec-unweighted", unweighted, walk.Node2Vec, 0, 0},
+		{"Node2Vec-unweighted-p0.5-q2", unweighted, walk.Node2Vec, 0.5, 2},
 	} {
 		g, alg := tc.g, tc.alg
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := walk.DefaultConfig(alg)
 			cfg.WalkLength = 25
 			cfg.Seed = 13
+			if tc.p != 0 {
+				cfg.P, cfg.Q = tc.p, tc.q
+			}
 			qs, err := walk.RandomQueries(g, cfg, 400, 19)
 			if err != nil {
 				t.Fatal(err)

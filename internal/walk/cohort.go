@@ -73,6 +73,14 @@ type Cohort struct {
 	// (kept as a second concrete field so the flat path's direct call
 	// never becomes an interface dispatch).
 	tieredAlias *sampling.TieredAlias
+	// rej, set when the sampler is node2vec's rejection sampler, lets the
+	// Sample stage run it as staged passes on flat lanes (sampleRejection).
+	// plo/phi hold each lane's previous row — the row it sampled one hop
+	// ago, which is N(prev) — so the Prev Access probe never reloads
+	// RowPtr[prev]; probe is that pass's list of undecided lanes.
+	rej      *sampling.Rejection
+	plo, phi []int64
+	probe    []int32
 
 	n int // lanes in use; live lanes are always the prefix [0, n)
 
@@ -152,7 +160,7 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 	kind := ss.Kind()
 	aliasStore, _ := s.(*sampling.AliasSampler)
 	tieredAlias, _ := s.(*sampling.TieredAlias)
-	return &Cohort{
+	c := &Cohort{
 		g:           g,
 		sampler:     ss,
 		kind:        kind,
@@ -176,8 +184,19 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 		tag:         make([]int32, size),
 		st:          make([]*State, size),
 		r:           make([]*rng.Stream, size),
-	}, nil
+	}
+	if rej, ok := s.(*sampling.Rejection); ok {
+		c.rej = rej
+		c.plo = make([]int64, size)
+		c.phi = make([]int64, size)
+		c.probe = make([]int32, 0, size)
+	}
+	return c, nil
 }
+
+// flat reports whether lanes read rows straight from the CSR: no tiered
+// store, layout or epoch snapshot. Only flat lanes run sampleRejection.
+func (c *Cohort) flat() bool { return c.tiered == nil && c.lay == nil && c.snap == nil }
 
 // SetLayout makes the Row Access stage serve neighbor rows from a
 // degree-aware graph.Layout instead of the raw CSR — hub rows come from
@@ -292,6 +311,11 @@ func (c *Cohort) Admit(st *State, r *rng.Stream, tag int32) bool {
 	if c.ovl != nil {
 		c.ovl[i] = false
 	}
+	if c.plo != nil && st.HasPrev && c.flat() {
+		// A walker arriving mid-walk (a shard migration, a resumed State)
+		// has no previous row yet: load N(prev)'s bounds once.
+		c.plo[i], c.phi[i] = c.g.RowPtr[st.Prev], c.g.RowPtr[st.Prev+1]
+	}
 	c.cand[i] = sampling.Candidate{}
 	c.phase[i] = phaseRow
 	c.fate[i] = fateNone
@@ -336,6 +360,9 @@ func (c *Cohort) remove(i int) {
 		c.tag[i] = c.tag[j]
 		c.st[i] = c.st[j]
 		c.r[i] = c.r[j]
+		if c.plo != nil {
+			c.plo[i], c.phi[i] = c.plo[j], c.phi[j]
+		}
 		if c.scr != nil {
 			// Swap (not copy) the decode buffers so lane j keeps a
 			// recyclable buffer — a parked lane's scratch row must follow
@@ -619,8 +646,80 @@ func (c *Cohort) sample() {
 			idx[i] = int32(k)
 			fate[i] = fateMove
 		}
+	case c.rej != nil && c.flat():
+		c.sampleRejection()
 	default:
 		c.sampleStaged()
+	}
+}
+
+// sampleRejection is the Sample pass for node2vec's rejection sampler on
+// flat lanes. It runs each trip as two passes, so every memory access is
+// a loop of independent misses across lanes rather than one dependent
+// Propose → Col → HasEdge → coin chain per lane:
+//
+//   - Propose, coin and column: draw the candidate slot, load its column
+//     entry and draw the coin — Propose's and Accept's draws in their
+//     order. Rejection.Decide settles most trips from the coin alone.
+//   - Prev Access, over only the undecided lanes: a branch-free search for
+//     the candidate in the lane's previous row [plo, phi), which is
+//     N(prev).
+//
+// Accepted lanes keep their row as the next hop's previous row; rejected
+// lanes park exactly as sampleStaged parks them.
+func (c *Cohort) sampleRejection() {
+	n := c.n
+	fate, phase, idx, nxt, rs := c.fate[:n], c.phase[:n], c.idx[:n], c.nxt[:n], c.r[:n]
+	prev, hasPrev, cand := c.prev[:n], c.hasPrev[:n], c.cand[:n]
+	los, his, plo, phi := c.lo[:n], c.hi[:n], c.plo[:n], c.phi[:n]
+	rej, col := c.rej, c.g.Col
+	probe := c.probe[:0]
+	for i := 0; i < n; i++ {
+		if fate[i] != fateNone {
+			continue
+		}
+		lo, hi := los[i], his[i]
+		k := rs[i].Intn(int(hi - lo))
+		x := col[lo+int64(k)]
+		idx[i], nxt[i] = int32(k), x
+		if !hasPrev[i] {
+			// First hop: no previous vertex, so the uniform proposal is final.
+			fate[i] = fateMove
+			plo[i], phi[i] = lo, hi
+			continue
+		}
+		trips := cand[i].Trips + 1
+		switch rej.Decide(rs[i].Float64(), trips, x == prev[i]) {
+		case sampling.Accepted:
+			fate[i] = fateMove
+			plo[i], phi[i] = lo, hi
+			cand[i].Trips = 0
+		case sampling.Rejected:
+			cand[i].Trips = trips // the next pass resumes from here
+			phase[i] = phaseParked
+		default:
+			cand[i].Trips = trips
+			probe = append(probe, int32(i))
+		}
+	}
+	for _, i := range probe {
+		// Search for the last entry <= x. The step is masked, not branched
+		// on, so the only branch is the trip count and hub rows cost no
+		// mispredicts.
+		x := int64(nxt[i])
+		base, m := plo[i], phi[i]-plo[i]
+		for m > 1 {
+			half := m >> 1
+			base += half &^ ((x - int64(col[base+half])) >> 63)
+			m -= half
+		}
+		if rej.Probed(m == 1 && int64(col[base]) == x) {
+			fate[i] = fateMove
+			plo[i], phi[i] = los[i], his[i]
+			cand[i].Trips = 0
+		} else {
+			phase[i] = phaseParked
+		}
 	}
 }
 

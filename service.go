@@ -223,7 +223,7 @@ type Service struct {
 	flushWG     sync.WaitGroup
 
 	// breaker trips a query class to the known-good cpu engine after
-	// BreakerThreshold consecutive engine faults (see noteGroupOutcome /
+	// BreakerThreshold consecutive engine faults (see noteFault /
 	// resolvePlan). nil when BreakerThreshold is negative.
 	breaker *fault.Breaker
 
@@ -367,6 +367,9 @@ type batchGroup struct {
 	// of tearing this one.
 	planned bool
 	plan    plan.Plan
+	// faulted marks a group whose engine fault noteFault has already
+	// counted (touched only by the dispatcher worker running the group).
+	faulted bool
 
 	// The group context joins its members' contexts: it cancels when
 	// every member's context is done (and the group is sealed — no more
@@ -1142,8 +1145,11 @@ func (s *Service) deliver(grp *batchGroup, r *request, rep reply) {
 // failGroup delivers err to every request the group has not yet
 // answered. Used when a contained panic (or a pre-dispatch fault)
 // aborts the group partway: every submitter still gets a reply and
-// every admission slot is still released.
-func (s *Service) failGroup(grp *batchGroup, err error) {
+// every admission slot is still released. An engine fault is folded
+// into the fault machinery first (noteFault), so a submitter that hears
+// back already sees the quarantine counts, breaker and demotion it caused.
+func (s *Service) failGroup(key string, grp *batchGroup, err error) {
+	s.noteFault(key, grp, err)
 	for _, r := range grp.requests {
 		s.deliver(grp, r, reply{err: err})
 	}
@@ -1181,39 +1187,48 @@ func (s *Service) runGroup(key string, grp *batchGroup) {
 		e, err := s.acquireSession(key, grp)
 		if err != nil {
 			runErr = err
-			s.failGroup(grp, err)
+			s.failGroup(key, grp, err)
 			return nil
 		}
 		defer s.releaseSession(e)
-		runErr = s.runGroupExec(grp, e.ses)
+		runErr = s.runGroupExec(key, grp, e.ses)
 		return nil
 	})
 	if cerr != nil {
 		runErr = cerr
-		s.failGroup(grp, cerr)
+		s.failGroup(key, grp, cerr)
 	}
-	s.noteGroupOutcome(key, grp, runErr)
+	s.noteGroupOutcome(grp, runErr)
 }
 
-// noteGroupOutcome folds one dispatched group's result into the fault
-// machinery. An engine fault quarantine-counts every member query,
-// discards the (suspect) cached session, and advances the class
-// breaker — tripping it demotes the class to the known-good cpu engine
-// until a half-open re-probe succeeds. A clean run clears the members'
-// quarantine counts and the breaker's consecutive-fault streak.
-func (s *Service) noteGroupOutcome(key string, grp *batchGroup, runErr error) {
-	if runErr == nil {
-		if s.breaker != nil {
-			s.breaker.Success(plan.ClassOf(grp.base, grp.cfg).String())
-		}
-		for _, r := range grp.requests {
-			s.clearQuarantine(grp.cfg, r.queries)
-		}
+// noteGroupOutcome folds one dispatched group's clean run into the fault
+// machinery: it clears the members' quarantine counts and the breaker's
+// consecutive-fault streak. A failed run changes nothing here — every
+// path that delivers an engine fault has already called noteFault.
+func (s *Service) noteGroupOutcome(grp *batchGroup, runErr error) {
+	if runErr != nil {
 		return
 	}
-	if !errors.Is(runErr, fault.ErrEngineFault) {
-		return // cancellation, validation, overload: not an engine fault
+	if s.breaker != nil {
+		s.breaker.Success(plan.ClassOf(grp.base, grp.cfg).String())
 	}
+	for _, r := range grp.requests {
+		s.clearQuarantine(grp.cfg, r.queries)
+	}
+}
+
+// noteFault folds a group's engine fault into the fault machinery, once
+// per group: it fault-counts and quarantine-counts every member query,
+// discards the (suspect) cached session, and advances the class breaker
+// — tripping it demotes the class to the known-good cpu engine until a
+// half-open re-probe succeeds. Callers run it before delivering the
+// fault reply. Other errors (cancellation, validation, overload) are not
+// engine faults and change nothing.
+func (s *Service) noteFault(key string, grp *batchGroup, runErr error) {
+	if grp.faulted || !errors.Is(runErr, fault.ErrEngineFault) {
+		return
+	}
+	grp.faulted = true
 	for _, r := range grp.requests {
 		s.admit.Fault(grp.lane, r.tenant, len(r.queries))
 		s.noteQuarantine(grp.cfg, r.queries)
@@ -1233,7 +1248,7 @@ func (s *Service) noteGroupOutcome(key string, grp *batchGroup, runErr error) {
 // runGroupExec runs the group's batch on ses and distributes per-request
 // results, returning the engine error (already delivered to the
 // affected requests) for outcome accounting.
-func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
+func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) error {
 	backend := s.cfg.Backend
 	if grp.planned {
 		backend = grp.plan.Backend
@@ -1260,7 +1275,7 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			if grp.stalled.Load() {
 				err = fmt.Errorf("%w: %v", ErrEngineStalled, err)
 			}
-			s.failGroup(grp, err)
+			s.failGroup(key, grp, err)
 			return err
 		}
 		grp.setStage("deliver")
@@ -1304,6 +1319,7 @@ func (s *Service) runGroupExec(grp *batchGroup, ses exec.Session) error {
 			if firstErr == nil {
 				firstErr = err
 			}
+			s.noteFault(key, grp, err)
 			s.deliver(grp, r, reply{err: err})
 			continue
 		}
@@ -1636,7 +1652,7 @@ func (s *Service) Stream(ctx context.Context, cfg WalkConfig, queries []Query, f
 
 // noteStreamFault advances the class breaker for a streaming engine
 // fault, demoting the class when it trips (the batch path's equivalent
-// lives in noteGroupOutcome).
+// lives in noteFault).
 func (s *Service) noteStreamFault(cfg WalkConfig, planned bool, runErr error) {
 	if s.breaker == nil {
 		return
