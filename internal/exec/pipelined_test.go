@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ridgewalker/internal/graph"
@@ -183,6 +184,40 @@ func TestPipelinedOpenValidation(t *testing.T) {
 	}
 	if _, err := ses.Run(context.Background(), Batch{Queries: []walk.Query{{ID: 0, Start: 100}}}); err == nil {
 		t.Fatal("Run on closed session accepted")
+	}
+}
+
+// TestOpenRejectsOversizedCohort: a cohort wider than walk.MaxCohort
+// fails at Open, unsharded and sharded, before any lane array is
+// allocated (1<<31 lanes would be tens of GB); walk.MaxCohort still
+// opens and runs.
+func TestOpenRejectsOversizedCohort(t *testing.T) {
+	g := irregularTestGraph(t)
+	cfg, qs := testWorkload(t, g, walk.URW, 8)
+	for _, shards := range []int{0, 2} {
+		for _, cohort := range []int{walk.MaxCohort + 1, 1 << 31} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: shards, Cohort: cohort, Workers: 1}); err == nil {
+				ses.Close()
+				t.Fatalf("shards=%d: cohort %d accepted", shards, cohort)
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("shards=%d: refused cohort %d allocated %d bytes", shards, cohort, grew)
+			}
+		}
+		ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: shards, Cohort: walk.MaxCohort, Workers: 1})
+		if err != nil {
+			t.Fatalf("shards=%d: cohort walk.MaxCohort refused: %v", shards, err)
+		}
+		if shards == 0 {
+			if _, err := ses.Run(context.Background(), Batch{Queries: qs}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ses.Close()
 	}
 }
 

@@ -63,6 +63,9 @@ type Rejection struct {
 	// is accepted (bias toward exact sampling is negligible for sane p,q and
 	// the bound keeps hardware service time finite, as real designs do).
 	MaxTrips int
+	// fences indexes the graph Spec.Build built the sampler over, for the
+	// pipelined engine's Prev Access probe; nil for NewRejection.
+	fences *graph.Fences
 }
 
 // NewRejection validates p and q and returns the sampler.
@@ -123,6 +126,10 @@ func (s *Rejection) Decide(coin float64, trips int, back bool) Verdict {
 
 // Probed finishes a NeedsProbe trip from the adjacency probe's answer.
 func (s *Rejection) Probed(edge bool) bool { return edge == s.near }
+
+// Fences returns the fence index over the graph the sampler was built
+// for by Spec.Build, or nil for a sampler from NewRejection.
+func (s *Rejection) Fences() *graph.Fences { return s.fences }
 
 // Sample implements Sampler by running the Propose/Accept protocol to
 // completion: draw a candidate uniformly, accept with probability

@@ -148,7 +148,14 @@ func (s Spec) Build(g *graph.CSR) (Sampler, error) {
 		}
 		return NewAliasSampler(g)
 	case KindRejection:
-		return NewRejection(s.P, s.Q)
+		// The fence index rides in the sampler, so the registry shares
+		// one copy per graph across sessions and epochs.
+		rej, err := NewRejection(s.P, s.Q)
+		if err != nil {
+			return nil, err
+		}
+		rej.fences = graph.NewFences(g)
+		return rej, nil
 	case KindReservoir:
 		return NewReservoir(s.P, s.Q)
 	case KindMetaPath:
@@ -369,14 +376,17 @@ func (reg *Registry) Refs(g *graph.CSR, spec Spec) int {
 }
 
 // Footprint reports a sampler's resident byte size: the flat alias store
-// for weighted DeepWalk, near-zero for the parametric samplers. Serving
-// layers surface it as sampler_bytes in perf reports.
+// for weighted DeepWalk, the fence index for unweighted Node2Vec,
+// near-zero for the other parametric samplers. Serving layers surface it
+// as sampler_bytes in perf reports.
 func Footprint(s Sampler) int64 {
 	switch t := s.(type) {
 	case *AliasSampler:
 		return t.MemoryFootprint()
 	case *TieredAlias:
 		return t.MemoryFootprint()
+	case *Rejection:
+		return t.fences.Bytes()
 	case *MetaPath:
 		return int64(len(t.Schema))
 	default:

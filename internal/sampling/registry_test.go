@@ -174,3 +174,30 @@ func TestRegistryConcurrentAcquireRelease(t *testing.T) {
 		t.Fatalf("registry leaked %d entries", reg.Len())
 	}
 }
+
+// TestRejectionFootprintCountsFences: a registry-built rejection sampler
+// carries the fence index over its graph and reports its bytes; one
+// built by hand carries none.
+func TestRejectionFootprintCountsFences(t *testing.T) {
+	g := registryTestGraph(t)
+	reg := NewRegistry()
+	ref, err := reg.Acquire(g, Spec{Kind: KindRejection, P: 2, Q: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Release()
+	rej := ref.Sampler().(*Rejection)
+	if rej.Fences() == nil || rej.Fences().Graph() != g {
+		t.Fatal("registry-built rejection sampler has no fence index over its graph")
+	}
+	if got, want := Footprint(rej), rej.Fences().Bytes(); got == 0 || got != want {
+		t.Fatalf("Footprint = %d, want the fence bytes %d (> 0)", got, want)
+	}
+	bare, err := NewRejection(2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Footprint(bare); got != 0 {
+		t.Fatalf("Footprint of NewRejection = %d, want 0", got)
+	}
+}

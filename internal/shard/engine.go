@@ -173,8 +173,8 @@ func NewEngine(g *graph.CSR, p *Partitioning, wcfg walk.Config, cfg EngineConfig
 	if p == nil || len(p.Shards) == 0 {
 		return nil, fmt.Errorf("shard: engine needs a non-empty partitioning")
 	}
-	if cfg.Cohort < 0 {
-		return nil, fmt.Errorf("shard: cohort %d, want >= 0", cfg.Cohort)
+	if cfg.Cohort < 0 || cfg.Cohort > walk.MaxCohort {
+		return nil, fmt.Errorf("shard: cohort %d, want >= 0 and <= %d", cfg.Cohort, walk.MaxCohort)
 	}
 	if cfg.RingCapacity < 0 {
 		return nil, fmt.Errorf("shard: ring capacity %d, want >= 0", cfg.RingCapacity)

@@ -388,6 +388,9 @@ func TestEngineCohortValidation(t *testing.T) {
 	if _, err := NewEngine(g, p, cfg, EngineConfig{Cohort: -1}); err == nil {
 		t.Fatal("negative cohort accepted")
 	}
+	if _, err := NewEngine(g, p, cfg, EngineConfig{Cohort: walk.MaxCohort + 1}); err == nil {
+		t.Fatal("cohort above walk.MaxCohort accepted")
+	}
 }
 
 // TestEngineRingBackpressure squeezes heavy cross-shard traffic through

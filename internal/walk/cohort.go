@@ -58,10 +58,11 @@ type Cohort struct {
 	cfg     Config
 	kind    sampling.Kind
 	// scanRow marks samplers that read the whole neighbor row per
-	// decision (reservoir, metapath): for those, Row Access prefetches
-	// the row's interior cache lines too. Rejection reads single
-	// candidates and gets only the row ends — touching more would burn
-	// bandwidth on lines the Sample stage never reads.
+	// decision (reservoir, metapath): for those, Row Access touches the
+	// row's ends and interior cache lines. Rejection reads single
+	// candidates: its flat, unversioned lanes take the two-load Row
+	// Access (the Sample pass's column loads are independent misses
+	// already) and the others get only the row ends.
 	scanRow bool
 	// aliasStore, set when the sampler is the flat alias store, lets Row
 	// Access touch the lane's locator word and alias-row boundary slots
@@ -77,8 +78,10 @@ type Cohort struct {
 	// Sample stage run it as staged passes on flat lanes (sampleRejection).
 	// plo/phi hold each lane's previous row — the row it sampled one hop
 	// ago, which is N(prev) — so the Prev Access probe never reloads
-	// RowPtr[prev]; probe is that pass's list of undecided lanes.
+	// RowPtr[prev]; it searches that row through fences, the sampler's
+	// fence index over Col. probe is the pass's list of undecided lanes.
 	rej      *sampling.Rejection
+	fences   *graph.Fences
 	plo, phi []int64
 	probe    []int32
 
@@ -147,11 +150,18 @@ type Cohort struct {
 	touch uint64
 }
 
-// NewCohort builds a cohort of the given capacity. The sampler must be
-// stage-resumable (every sampler built by BuildSampler is).
+// MaxCohort bounds a cohort's lane count. A cohort allocates about 20
+// lane arrays of its size up front, and past a few hundred lanes a wider
+// one is no faster, so a larger caller-supplied width is rejected rather
+// than allocated.
+const MaxCohort = 1 << 16
+
+// NewCohort builds a cohort of the given capacity, 1 to MaxCohort. The
+// sampler must be stage-resumable (every sampler built by BuildSampler
+// is).
 func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("walk: cohort size %d, want >= 1", size)
+	if size < 1 || size > MaxCohort {
+		return nil, fmt.Errorf("walk: cohort size %d, want >= 1 and <= %d", size, MaxCohort)
 	}
 	ss, ok := sampling.AsStaged(s)
 	if !ok {
@@ -187,6 +197,11 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 	}
 	if rej, ok := s.(*sampling.Rejection); ok {
 		c.rej = rej
+		// A sampler from Spec.Build carries the index over its graph; one
+		// from NewRejection has none, so the cohort builds its own.
+		if c.fences = rej.Fences(); c.fences == nil || c.fences.Graph() != g {
+			c.fences = graph.NewFences(g)
+		}
 		c.plo = make([]int64, size)
 		c.phi = make([]int64, size)
 		c.probe = make([]int32, 0, size)
@@ -462,7 +477,8 @@ func (c *Cohort) Step(
 // by Admit and after every hop by Move). The loop is specialized on the
 // row source once per pass — the body must stay lean enough that many
 // lanes' independent misses overlap inside the out-of-order window, which
-// is the whole point of the stage.
+// is the whole point of the stage. On the flat CSR, lanes whose sampler
+// reads single entries (uniform, rejection) load only the row bounds.
 func (c *Cohort) rowAccess() {
 	g := c.g
 	if c.tiered != nil {
@@ -555,12 +571,17 @@ func (c *Cohort) rowAccess() {
 		n := c.n
 		phase, fate, cur := c.phase[:n], c.fate[:n], c.cur[:n]
 		los, his := c.lo[:n], c.hi[:n]
-		rowPtr, snap, readsRow, alias := g.RowPtr, c.snap, !c.slotKind, c.aliasStore
+		// Full-row scans read the row here, and so do the staged samplers
+		// behind a snapshot; flat rejection lanes load their candidates
+		// in the Sample pass, as a loop of independent misses.
+		rowPtr, snap, alias := g.RowPtr, c.snap, c.aliasStore
+		readsRow := c.scanRow || (!c.slotKind && snap != nil)
 		if snap == nil && !readsRow && alias == nil {
-			// Uniform draws on an unversioned graph (URW, PPR): the two
-			// row-pointer loads and nothing else. The sampler never reads
-			// the row — Column Access fetches the one drawn entry — and a
-			// body without calls keeps every array base in a register.
+			// Uniform draws and flat rejection on an unversioned graph
+			// (URW, PPR, unweighted Node2Vec): the two row-pointer loads
+			// and nothing else. The Sample pass or Column Access fetches
+			// the drawn entries, and a body without calls keeps every
+			// array base in a register.
 			for i := 0; i < n; i++ {
 				if phase[i] != phaseRow {
 					continue
@@ -578,8 +599,9 @@ func (c *Cohort) rowAccess() {
 		}
 		// The same loads plus what the lane's sampler or snapshot needs:
 		// the overlay check, the row's ends for samplers that read it
-		// (rejection, reservoir, metapath; full-row scans also its
-		// interior), the alias store's locator and row ends.
+		// (reservoir, metapath and, under a snapshot, rejection; full-row
+		// scans also its interior), the alias store's locator and row
+		// ends.
 		for i := 0; i < n; i++ {
 			if phase[i] != phaseRow {
 				continue
@@ -661,9 +683,10 @@ func (c *Cohort) sample() {
 //   - Propose, coin and column: draw the candidate slot, load its column
 //     entry and draw the coin — Propose's and Accept's draws in their
 //     order. Rejection.Decide settles most trips from the coin alone.
-//   - Prev Access, over only the undecided lanes: a branch-free search for
-//     the candidate in the lane's previous row [plo, phi), which is
-//     N(prev).
+//   - Prev Access, over only the undecided lanes: a fence-index search
+//     (graph.Fences) for the candidate in the lane's previous row
+//     [plo, phi), which is N(prev) — about log₁₆ of its degree dependent
+//     cache lines, so neighbouring lanes' probes overlap.
 //
 // Accepted lanes keep their row as the next hop's previous row; rejected
 // lanes park exactly as sampleStaged parks them.
@@ -672,7 +695,7 @@ func (c *Cohort) sampleRejection() {
 	fate, phase, idx, nxt, rs := c.fate[:n], c.phase[:n], c.idx[:n], c.nxt[:n], c.r[:n]
 	prev, hasPrev, cand := c.prev[:n], c.hasPrev[:n], c.cand[:n]
 	los, his, plo, phi := c.lo[:n], c.hi[:n], c.plo[:n], c.phi[:n]
-	rej, col := c.rej, c.g.Col
+	rej, col, fences := c.rej, c.g.Col, c.fences
 	probe := c.probe[:0]
 	for i := 0; i < n; i++ {
 		if fate[i] != fateNone {
@@ -703,17 +726,7 @@ func (c *Cohort) sampleRejection() {
 		}
 	}
 	for _, i := range probe {
-		// Search for the last entry <= x. The step is masked, not branched
-		// on, so the only branch is the trip count and hub rows cost no
-		// mispredicts.
-		x := int64(nxt[i])
-		base, m := plo[i], phi[i]-plo[i]
-		for m > 1 {
-			half := m >> 1
-			base += half &^ ((x - int64(col[base+half])) >> 63)
-			m -= half
-		}
-		if rej.Probed(m == 1 && int64(col[base]) == x) {
+		if rej.Probed(fences.Contains(plo[i], phi[i], nxt[i])) {
 			fate[i] = fateMove
 			plo[i], phi[i] = los[i], his[i]
 			cand[i].Trips = 0

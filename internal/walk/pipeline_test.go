@@ -205,11 +205,23 @@ func TestPipelineAbandonReusable(t *testing.T) {
 
 // TestPipelineRunAllocFree pins the tentpole's allocation claim at the
 // stepper level: a Run over a reused Pipeline performs zero allocations,
-// for the single-draw, alias, and rejection sampler families.
+// for the single-draw, alias, reservoir (Node2Vec on the weighted graph)
+// and rejection (Node2Vec on the unweighted graph) sampler families.
 func TestPipelineRunAllocFree(t *testing.T) {
-	g := pipelineTestGraph(t)
-	for _, alg := range []Algorithm{URW, PPR, DeepWalk, Node2Vec} {
-		t.Run(alg.String(), func(t *testing.T) {
+	weighted, unweighted := pipelineTestGraph(t), pipelineUnweightedGraph(t)
+	for _, tc := range []struct {
+		name string
+		alg  Algorithm
+		g    *graph.CSR
+	}{
+		{"URW", URW, weighted},
+		{"PPR", PPR, weighted},
+		{"DeepWalk", DeepWalk, weighted},
+		{"Node2Vec", Node2Vec, weighted},
+		{"Node2Vec-unweighted", Node2Vec, unweighted},
+	} {
+		g, alg := tc.g, tc.alg
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(alg)
 			cfg.WalkLength = 16
 			cfg.Seed = 7
@@ -249,6 +261,9 @@ func TestCohortAdmitBounds(t *testing.T) {
 	}
 	if _, err := NewCohort(g, cfg, s, 0); err == nil {
 		t.Fatal("zero-capacity cohort accepted")
+	}
+	if _, err := NewCohort(g, cfg, s, MaxCohort+1); err == nil {
+		t.Fatal("cohort above MaxCohort accepted")
 	}
 	c, err := NewCohort(g, cfg, s, 2)
 	if err != nil {

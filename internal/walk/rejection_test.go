@@ -8,6 +8,7 @@ import (
 
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/rng"
+	"ridgewalker/internal/sampling"
 )
 
 // node2vecBiases is the (p, q) matrix of the rejection Sample pass: the
@@ -94,6 +95,72 @@ func TestNode2VecRejectionMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNode2VecRejectionHubRow runs the rejection pass on a graph whose
+// hub row has 4 500 entries starting at an unaligned Col offset: every
+// other vertex links back to the hub, so most Prev Access probes search
+// the hub row, which starts at the fence index's third level. The
+// pipeline must match Run byte for byte, with the index from Spec.Build
+// and with the one a cohort builds for a hand-built sampler.
+func TestNode2VecRejectionHubRow(t *testing.T) {
+	const n, hub, hubDeg = 6000, 1, 4500
+	r := rng.New(29)
+	var edges []graph.Edge
+	for i := 0; i < 7; i++ {
+		edges = append(edges, graph.Edge{Src: 0, Dst: graph.VertexID(r.Intn(n))})
+	}
+	for i := 0; i < hubDeg; i++ {
+		edges = append(edges, graph.Edge{Src: hub, Dst: graph.VertexID(100 + i)})
+	}
+	for v := 2; v < n; v++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: hub})
+		for i := 0; i < 3; i++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(r.Intn(n))})
+		}
+	}
+	g, err := graph.Build(n, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo := g.RowPtr[hub]; lo%16 == 0 || g.Degree(hub) <= 4096 {
+		t.Fatalf("hub row at %d with degree %d, want an unaligned row of > 4096 entries", lo, g.Degree(hub))
+	}
+	cfg := DefaultConfig(Node2Vec)
+	cfg.WalkLength = 40
+	cfg.Seed = 11
+	qs, err := RandomQueries(g, cfg, 400, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(g, qs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := BuildSampler(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A hand-built sampler has no fence index: the cohort builds its own.
+	bare, err := sampling.NewRejection(cfg.P, cfg.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []sampling.Sampler{built, bare} {
+		for _, size := range []int{1, 64, 257} {
+			p, err := NewPipelineWithSampler(g, cfg, s, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, steps, err := collectPipeline(p, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if steps != want.Steps || !reflect.DeepEqual(paths, want.Paths) {
+				t.Fatalf("cohort=%d, fences from Spec.Build %v: pipelined paths differ from Run", size, s == built)
+			}
+		}
 	}
 }
 
