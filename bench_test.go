@@ -232,7 +232,7 @@ func BenchmarkShardMigrationAllocs(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
 		cohort int
-	}{{"depth-first", 0}, {"cohort", 32}} {
+	}{{"cohort-1", 1}, {"cohort-32", 32}} {
 		b.Run(mode.name, func(b *testing.B) {
 			p, err := shard.Partition(g, 4)
 			if err != nil {

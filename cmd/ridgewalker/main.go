@@ -63,9 +63,8 @@ func run() error {
 	noAsync := flag.Bool("no-async", false, "disable the asynchronous access engine (ablation)")
 	noSched := flag.Bool("no-sched", false, "disable the zero-bubble scheduler (ablation)")
 	workers := flag.Int("workers", 0, "cpu backend worker-pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "cpu-sharded/cpu-pipelined partition count (0 = backend default)")
-	cohort := flag.Int("cohort", 0, "cpu-pipelined in-flight walkers per worker (0 = backend default)")
-	hubCache := flag.Int64("hubcache", 0, "cpu-pipelined hub-arena byte budget (0 = off; e.g. 8388608 for 8 MiB)")
+	shards := flag.Int("shards", 0, "cpu-sharded partition count (0 = backend default; one-shot runs only)")
+	cohort := flag.Int("cohort", 0, "cpu-pipelined/cpu-sharded in-flight walkers per worker (0 = backend default)")
 	memBudget := flag.String("membudget", "", "cpu backends' tiered-memory hot budget in bytes, or 'auto' (empty = flat stores)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -132,7 +131,7 @@ func run() error {
 		fmt.Println("uncompressed arena, the cold tail is delta-varint compressed, and the")
 		fmt.Println("per-tier accounting (hot arena, compressed cold arena, locators,")
 		fmt.Println("per-worker decode scratch) is reported after each run.")
-		fmt.Println("\n[planned] resolves its engine and shape (backend, cohort, shards) per")
+		fmt.Println("\n[planned] resolves its engine and shape (backend, cohort) per")
 		fmt.Println("workload from graph statistics and a calibration micro-bench; the")
 		fmt.Println("resolved plan — chosen config, predicted vs observed steps/sec — is")
 		fmt.Println("reported after each run (add -explain-plan for the full decision record).")
@@ -210,6 +209,9 @@ func run() error {
 		fmt.Printf("chaos: armed %s\n", strings.Join(names, ", "))
 	}
 	if *serve {
+		if *shards != 0 {
+			return fmt.Errorf("-shards applies to one-shot -backend cpu-sharded runs, not -serve")
+		}
 		inflight, err := parseMaxInflight(*maxInflight)
 		if err != nil {
 			return err
@@ -228,9 +230,7 @@ func run() error {
 			Backend:             backend,
 			Platform:            plat,
 			Workers:             *workers,
-			Shards:              *shards,
 			Cohort:              *cohort,
-			HubCacheBytes:       *hubCache,
 			MemoryBudgetBytes:   budget,
 			MaxBatch:            *maxBatch,
 			Linger:              *linger,
@@ -257,7 +257,6 @@ func run() error {
 		Workers:             *workers,
 		Shards:              *shards,
 		Cohort:              *cohort,
-		HubCacheBytes:       *hubCache,
 		MemoryBudgetBytes:   budget,
 		DisableAsync:        *noAsync,
 		DisableDynamicSched: *noSched,
@@ -430,12 +429,6 @@ func planShape(pr *ridgewalker.PlanReport) string {
 	s := pr.Backend
 	if pr.Cohort > 0 {
 		s += fmt.Sprintf(" c%d", pr.Cohort)
-	}
-	if pr.Shards > 0 {
-		s += fmt.Sprintf(" s%d", pr.Shards)
-	}
-	if pr.HubCacheBytes > 0 {
-		s += fmt.Sprintf(" hub=%dB", pr.HubCacheBytes)
 	}
 	if pr.MemoryBudgetBytes != 0 {
 		s += fmt.Sprintf(" budget=%dB", pr.MemoryBudgetBytes)

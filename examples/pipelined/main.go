@@ -2,7 +2,8 @@
 // cpu backend and the cpu-pipelined backend — which advances a cohort of
 // in-flight walkers together through batched Row/Sample/Column/Move stages so
 // CSR row fetches overlap sampling — and verify the walks are
-// byte-identical at every cohort size, alone and composed with sharding.
+// byte-identical at every cohort size, and inside the cpu-sharded
+// backend's shard workers. Exits non-zero if any run diverges.
 //
 //	go run ./examples/pipelined
 package main
@@ -59,13 +60,13 @@ func main() {
 			log.Fatalf("cohort=%d: walks diverged from the cpu backend", cohort)
 		}
 	}
-	// Pipelining composes with sharding: per-shard workers run the same
-	// cohort stepper, and walkers migrate between shards mid-cohort.
-	composed := run("cpu-pipelined", 64, 4)
-	if !reflect.DeepEqual(flat.Paths, composed.Paths) {
-		log.Fatal("sharded+pipelined walks diverged from the cpu backend")
+	// The cpu-sharded backend's shard workers run the same cohort stepper,
+	// and walkers migrate between shards mid-cohort.
+	sharded := run("cpu-sharded", 64, 4)
+	if !reflect.DeepEqual(flat.Paths, sharded.Paths) {
+		log.Fatal("cpu-sharded walks diverged from the cpu backend")
 	}
-	fmt.Println("all cohort sizes (and sharded composition) byte-identical to the cpu backend")
+	fmt.Println("all cohort sizes (and cpu-sharded) byte-identical to the cpu backend")
 
 	// WalkPipelined is the one-call variant of the same engine.
 	res, err := ridgewalker.WalkPipelined(g, queries[:100], cfg, 64)

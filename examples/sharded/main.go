@@ -2,7 +2,7 @@
 // same workload on the flat cpu backend and the cpu-sharded backend, and
 // verify the walks are byte-identical — the sharded engine's per-walker
 // RNG streams make its output independent of shard count, worker
-// interleaving, and migration order.
+// interleaving, and migration order. Exits non-zero if any run diverges.
 //
 //	go run ./examples/sharded
 package main

@@ -175,19 +175,11 @@ func compareMutation(baseline, fresh *PerfReport) string {
 // needed to evaluate it.
 const plannerMaxRegret = 0.10
 
-// plannerCrossoverFactor is the empirical-parallelism threshold for the
-// shard-crossover check: only when the cell's best sharded configuration
-// beats its best unsharded one by more than this factor does the runner
-// demonstrably have the parallelism that makes sharding the right call —
-// and then the planner must have picked a sharded plan. Below it (and on
-// single-core cells, where p1 sharding always loses) the check is
-// skipped; WritePlannerTable logs each skip with its reason.
-const plannerCrossoverFactor = 1.2
-
 // comparePlanner gates the planner cells: present in the baseline means
-// the fresh report must carry them too; each fresh cell's regret must
-// stay under the cap; and cells with demonstrated parallel advantage
-// must have resolved to a sharded plan.
+// the fresh report must carry them too, and each fresh cell's regret
+// must stay under the cap. The planner never picks a sharded shape, so a
+// cell where a pinned cpu-sharded row wins by more than the cap fails
+// here.
 func comparePlanner(baseline, fresh *PerfReport) (msgs []string, compared int) {
 	if len(baseline.Planner) > 0 && len(fresh.Planner) == 0 {
 		return []string{"planner: cells present in baseline but missing from the fresh report (sweep dropped?)"}, 1
@@ -202,14 +194,6 @@ func comparePlanner(baseline, fresh *PerfReport) (msgs []string, compared int) {
 				"planner %s p%d: auto chose %s at %.3g steps/s, best manual %s at %.3g — %.1f%% regret (cap %.0f%%)",
 				p.Algorithm, p.GoMaxProcs, p.Chosen, p.AutoStepsPerSec,
 				p.BestManual, p.BestManualStepsPerSec, 100*p.Regret, 100*plannerMaxRegret))
-		}
-		if p.GoMaxProcs > 1 &&
-			p.BestShardedStepsPerSec > p.BestUnshardedStepsPerSec*plannerCrossoverFactor &&
-			p.ChosenShards <= 1 {
-			msgs = append(msgs, fmt.Sprintf(
-				"planner %s p%d: sharding wins %.2fx on this runner but the plan (%s) is unsharded — shard crossover missed",
-				p.Algorithm, p.GoMaxProcs,
-				p.BestShardedStepsPerSec/p.BestUnshardedStepsPerSec, p.Chosen))
 		}
 	}
 	return msgs, compared

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// perfFixture builds a report with a cpu baseline and one pipelined
-// configuration per algorithm at two GOMAXPROCS levels. scale multiplies
-// every throughput (simulating a faster/slower machine); pipelinedFactor
-// sets the pipelined backend's speed relative to cpu.
+// perfFixture builds a report with a cpu baseline, one pipelined and one
+// four-shard configuration per algorithm at two GOMAXPROCS levels. scale
+// multiplies every throughput (simulating a faster/slower machine);
+// pipelinedFactor sets the cohort backends' speed relative to cpu.
 func perfFixture(scale, pipelinedFactor float64) *PerfReport {
 	rep := &PerfReport{
 		Schema: 2, Graph: "rmat-15-graph500", Queries: 2000, WalkLength: 80,
@@ -22,8 +22,8 @@ func perfFixture(scale, pipelinedFactor float64) *PerfReport {
 					GoMaxProcs: p, StepsPerSec: cpu},
 				PerfRecord{Backend: "cpu-pipelined", Algorithm: alg, Graph: rep.Graph,
 					Cohort: 64, GoMaxProcs: p, StepsPerSec: cpu * pipelinedFactor},
-				PerfRecord{Backend: "cpu-pipelined", Algorithm: alg, Graph: rep.Graph,
-					Cohort: 64, Shards: 4, GoMaxProcs: p, StepsPerSec: cpu * pipelinedFactor * 1.1},
+				PerfRecord{Backend: "cpu-sharded", Algorithm: alg, Graph: rep.Graph,
+					Cohort: 256, Shards: 4, GoMaxProcs: p, StepsPerSec: cpu * pipelinedFactor * 1.1},
 			)
 		}
 	}
@@ -57,7 +57,7 @@ func TestComparePerfCatchesRelativeRegression(t *testing.T) {
 		t.Fatal("35% relative regression not flagged")
 	}
 	for _, r := range regs {
-		if !strings.Contains(r, "cpu-pipelined") {
+		if !strings.Contains(r, "cpu-pipelined") && !strings.Contains(r, "cpu-sharded") {
 			t.Fatalf("unexpected regression line: %s", r)
 		}
 	}
@@ -119,7 +119,7 @@ func TestComparePerfFlagsDroppedConfiguration(t *testing.T) {
 		t.Fatal("no records compared")
 	}
 	if len(regs) == 0 {
-		t.Fatal("dropped cpu-pipelined-s4 configuration not flagged")
+		t.Fatal("dropped cpu-sharded-s4 configuration not flagged")
 	}
 	for _, r := range regs {
 		if !strings.Contains(r, "missing from the fresh report") {
@@ -128,30 +128,19 @@ func TestComparePerfFlagsDroppedConfiguration(t *testing.T) {
 	}
 }
 
-// plannerFixture attaches one planner cell per procs level to a report.
-// regret sets every cell's regret; sharded controls whether the chosen
-// plan is sharded at p2.
-func plannerFixture(rep *PerfReport, regret float64, sharded bool) {
+// plannerFixture attaches one planner cell per procs level to a report,
+// each with the given regret against a pinned cpu-sharded best.
+func plannerFixture(rep *PerfReport, regret float64) {
 	for _, p := range []int{1, 2} {
 		best := 2.2e6 * float64(p)
-		pr := PlannerRecord{
+		rep.Planner = append(rep.Planner, PlannerRecord{
 			Algorithm: "URW", Graph: rep.Graph, GoMaxProcs: p,
 			Chosen: "cpu-pipelined c64", PlanSource: "calibrated",
-			AutoStepsPerSec:          best * (1 - regret),
-			BestManual:               "cpu-pipelined-s4",
-			BestManualStepsPerSec:    best,
-			BestUnshardedStepsPerSec: best / 2,
-			BestShardedStepsPerSec:   best,
-			Regret:                   regret,
-		}
-		if p == 1 {
-			// Single-core cells have no sharded advantage to assert on.
-			pr.BestShardedStepsPerSec = pr.BestUnshardedStepsPerSec * 0.8
-			pr.BestManualStepsPerSec = pr.BestUnshardedStepsPerSec
-		} else if sharded {
-			pr.Chosen, pr.ChosenShards = "cpu-pipelined c64 s4", 4
-		}
-		rep.Planner = append(rep.Planner, pr)
+			AutoStepsPerSec:       best * (1 - regret),
+			BestManual:            "cpu-sharded-s4",
+			BestManualStepsPerSec: best,
+			Regret:                regret,
+		})
 	}
 }
 
@@ -160,7 +149,7 @@ func plannerFixture(rep *PerfReport, regret float64, sharded bool) {
 func TestComparePlannerRegretGate(t *testing.T) {
 	baseline := perfFixture(1.0, 2.0)
 	fresh := perfFixture(1.0, 2.0)
-	plannerFixture(fresh, 0.05, true)
+	plannerFixture(fresh, 0.05)
 	regs, compared := ComparePerf(baseline, fresh, 0.15, false)
 	if compared == 0 {
 		t.Fatal("no records compared")
@@ -169,7 +158,7 @@ func TestComparePlannerRegretGate(t *testing.T) {
 		t.Fatalf("5%% regret flagged at the 10%% cap: %v", regs)
 	}
 	over := perfFixture(1.0, 2.0)
-	plannerFixture(over, 0.25, true)
+	plannerFixture(over, 0.25)
 	regs, _ = ComparePerf(baseline, over, 0.15, false)
 	if len(regs) == 0 {
 		t.Fatal("25% regret not flagged")
@@ -181,42 +170,11 @@ func TestComparePlannerRegretGate(t *testing.T) {
 	}
 }
 
-// TestComparePlannerShardCrossover: a runner where sharding demonstrably
-// wins at p2 must see a sharded plan; the p1 cell (sharding loses) and
-// the advantage-free case are skipped, not failed.
-func TestComparePlannerShardCrossover(t *testing.T) {
-	baseline := perfFixture(1.0, 2.0)
-	fresh := perfFixture(1.0, 2.0)
-	plannerFixture(fresh, 0.02, false) // sharding wins 2x at p2, plan unsharded
-	regs, _ := ComparePerf(baseline, fresh, 0.15, false)
-	if len(regs) == 0 {
-		t.Fatal("missed shard crossover not flagged")
-	}
-	for _, r := range regs {
-		if !strings.Contains(r, "crossover") {
-			t.Fatalf("unexpected regression line: %s", r)
-		}
-		if strings.Contains(r, "p1") {
-			t.Fatalf("single-core cell must be skipped, not failed: %s", r)
-		}
-	}
-	// No sharded advantage on this runner: check skipped entirely.
-	flat := perfFixture(1.0, 2.0)
-	plannerFixture(flat, 0.02, false)
-	for i := range flat.Planner {
-		flat.Planner[i].BestShardedStepsPerSec = flat.Planner[i].BestUnshardedStepsPerSec
-	}
-	regs, _ = ComparePerf(baseline, flat, 0.15, false)
-	if len(regs) != 0 {
-		t.Fatalf("crossover check fired without empirical sharded advantage: %v", regs)
-	}
-}
-
 // TestComparePlannerFlagsDroppedCells: baseline planner cells missing
 // from the fresh report fail the gate.
 func TestComparePlannerFlagsDroppedCells(t *testing.T) {
 	baseline := perfFixture(1.0, 2.0)
-	plannerFixture(baseline, 0.02, true)
+	plannerFixture(baseline, 0.02)
 	fresh := perfFixture(1.0, 2.0)
 	regs, _ := ComparePerf(baseline, fresh, 0.15, false)
 	found := false

@@ -105,7 +105,7 @@ type SamplerBuildRecord struct {
 }
 
 // configName renders the record's engine configuration compactly
-// ("cpu-pipelined-s4" for the sharded composition, "cpu-tiered" for a
+// ("cpu-sharded-s4" for a four-shard run, "cpu-tiered" for a
 // budget-constrained run).
 func (r PerfRecord) configName() string {
 	name := r.Backend
@@ -158,7 +158,7 @@ type PerfReport struct {
 	// Ratios normalizes each configuration to the flat cpu baseline per
 	// algorithm at the same GOMAXPROCS (steps/sec over steps/sec), e.g.
 	// "cpu-pipelined/cpu URW": 1.31 (GOMAXPROCS=1) or
-	// "cpu-pipelined-s4/cpu URW @p4": 2.1 (GOMAXPROCS=4).
+	// "cpu-sharded-s4/cpu URW @p4": 0.34 (GOMAXPROCS=4).
 	Ratios map[string]float64 `json:"ratios"`
 	// PeakRSSMB is the process's peak resident set (/proc/self/status
 	// VmHWM) sampled after the sweep, in MiB. The high-water mark is
@@ -176,6 +176,8 @@ type PerfReport struct {
 // throughput cost next to its footprint saving. The hub pair measures
 // the same engines on the hub-heavy workload (short walks seeded at the
 // top-degree vertices), whose traffic the hot tier is sized to absorb.
+// The sharded rows pin their shard count and cohort width, so the planner
+// regret gate prices the planner against the sharded engine too.
 var perfConfigs = []struct {
 	backend string
 	shards  int
@@ -187,11 +189,9 @@ var perfConfigs = []struct {
 	{backend: "cpu", tiered: true},
 	{backend: "cpu", hub: true},
 	{backend: "cpu", hub: true, tiered: true},
-	{backend: "cpu-sharded"},
-	{backend: "cpu-sharded", shards: 4},
 	{backend: "cpu-pipelined", cohort: exec.DefaultCohort},
-	{backend: "cpu-pipelined", cohort: exec.DefaultCohort, shards: 2},
-	{backend: "cpu-pipelined", cohort: exec.DefaultCohort, shards: 4},
+	{backend: "cpu-sharded", cohort: exec.DefaultCohort, shards: 2},
+	{backend: "cpu-sharded", cohort: exec.DefaultCohort, shards: 4},
 }
 
 // perfProcs returns the GOMAXPROCS sweep: the configured list, or

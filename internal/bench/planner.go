@@ -30,24 +30,20 @@ func init() {
 // the full workload; the cell's regret is how far that lands below the
 // best hand-picked configuration, re-measured PAIRED with the auto run
 // (interleaved rounds, medians — see plannerCell) so machine-speed
-// drift across the sweep cancels out of the ratio. ChosenShards is
-// split out of the rendered name so gates can test shardedness without
-// string parsing; BestSharded/BestUnsharded carry the empirical
-// crossover evidence the shard-crossover gate conditions on (a runner
-// without real hardware parallelism shows no sharded advantage, and
-// the gate must skip rather than fail there).
+// drift across the sweep cancels out of the ratio. The reference set
+// includes the pinned cpu-sharded rows, so a cell a sharded pin wins by
+// more than the regret cap fails the gate.
 type PlannerRecord struct {
 	Algorithm  string `json:"algorithm"`
 	Graph      string `json:"graph"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	// Chosen renders the planner's resolved configuration ("cpu-pipelined
-	// c64 s2"); ChosenBackend/ChosenCohort/ChosenShards are its parts,
-	// split out so gates match shapes without string parsing; PlanSource
-	// records how the decision was made.
+	// c64"); ChosenBackend/ChosenCohort are its parts, split out so gates
+	// match shapes without string parsing; PlanSource records how the
+	// decision was made.
 	Chosen        string `json:"chosen"`
 	ChosenBackend string `json:"chosen_backend"`
 	ChosenCohort  int    `json:"chosen_cohort,omitempty"`
-	ChosenShards  int    `json:"chosen_shards,omitempty"`
 	PlanSource    string `json:"plan_source"`
 	// PredictedStepsPerSec is the calibration probe's estimate;
 	// AutoStepsPerSec the realized full-workload throughput (median over
@@ -57,13 +53,9 @@ type PlannerRecord struct {
 	// BestManual names the fastest hand-picked perf-sweep configuration
 	// for the same cell (non-tiered, non-hub records only);
 	// BestManualStepsPerSec is its PAIRED re-measurement against the
-	// auto session, not the sweep number. The sharded/unsharded bests
-	// are sweep numbers — they only feed the crossover threshold, a
-	// within-sweep comparison.
-	BestManualStepsPerSec    float64 `json:"best_manual_steps_per_sec"`
-	BestManual               string  `json:"best_manual"`
-	BestUnshardedStepsPerSec float64 `json:"best_unsharded_steps_per_sec,omitempty"`
-	BestShardedStepsPerSec   float64 `json:"best_sharded_steps_per_sec,omitempty"`
+	// auto session, not the sweep number.
+	BestManualStepsPerSec float64 `json:"best_manual_steps_per_sec"`
+	BestManual            string  `json:"best_manual"`
 	// Regret is (best − auto)/best over the paired medians, clamped at 0
 	// when auto wins outright.
 	Regret float64 `json:"regret"`
@@ -97,10 +89,9 @@ func plannerCell(rep *PerfReport, name string, g *graph.CSR, wcfg walk.Config, q
 		repeat = 1
 	}
 	procs := runtime.GOMAXPROCS(0)
-	// The cell's reference configuration and the crossover evidence, from
-	// the sweep records measured on the same queries.
+	// The cell's reference configuration, from the sweep records measured
+	// on the same queries.
 	var best *PerfRecord
-	var unsharded, sharded float64
 	for i := range rep.Records {
 		r := &rep.Records[i]
 		if r.Algorithm != wcfg.Algorithm.String() || r.GoMaxProcs != procs ||
@@ -109,13 +100,6 @@ func plannerCell(rep *PerfReport, name string, g *graph.CSR, wcfg walk.Config, q
 		}
 		if best == nil || r.StepsPerSec > best.StepsPerSec {
 			best = r
-		}
-		if r.Shards > 1 {
-			if r.StepsPerSec > sharded {
-				sharded = r.StepsPerSec
-			}
-		} else if r.StepsPerSec > unsharded {
-			unsharded = r.StepsPerSec
 		}
 	}
 	auto, err := exec.Open("auto", g, exec.Config{
@@ -131,19 +115,16 @@ func plannerCell(rep *PerfReport, name string, g *graph.CSR, wcfg walk.Config, q
 		return PlannerRecord{}, fmt.Errorf("bench: auto session reports no plan")
 	}
 	pr := reporter.PlanReport()
-	chosen := plan.Candidate{Backend: pr.Backend, Cohort: pr.Cohort, Shards: pr.Shards}
+	chosen := plan.Candidate{Backend: pr.Backend, Cohort: pr.Cohort}
 	rec := PlannerRecord{
-		Algorithm:                wcfg.Algorithm.String(),
-		Graph:                    name,
-		GoMaxProcs:               procs,
-		Chosen:                   chosen.String(),
-		ChosenBackend:            pr.Backend,
-		ChosenCohort:             pr.Cohort,
-		ChosenShards:             pr.Shards,
-		PlanSource:               pr.Source,
-		PredictedStepsPerSec:     pr.PredictedStepsPerSec,
-		BestUnshardedStepsPerSec: unsharded,
-		BestShardedStepsPerSec:   sharded,
+		Algorithm:            wcfg.Algorithm.String(),
+		Graph:                name,
+		GoMaxProcs:           procs,
+		Chosen:               chosen.String(),
+		ChosenBackend:        pr.Backend,
+		ChosenCohort:         pr.Cohort,
+		PlanSource:           pr.Source,
+		PredictedStepsPerSec: pr.PredictedStepsPerSec,
 	}
 	if best == nil {
 		// No reference to pair against; the gate skips the cell.
@@ -220,7 +201,7 @@ func plannerCell(rep *PerfReport, name string, g *graph.CSR, wcfg walk.Config, q
 	// the shape the sweep crowned, regret is zero by definition — the
 	// pairing then compares two sessions of the identical configuration,
 	// which can only measure noise, never a planning mistake.
-	if pr.Backend == best.Backend && pr.Cohort == best.Cohort && pr.Shards == best.Shards {
+	if pr.Backend == best.Backend && pr.Cohort == best.Cohort {
 		return rec, nil
 	}
 	ratios := make([]float64, len(autoRounds))
@@ -244,10 +225,7 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// WritePlannerTable renders the regret cells and logs, per cell, whether
-// the shard-crossover check applies — the skip reasons the gate in
-// ComparePerf relies on are made visible here instead of failing
-// silently on hosts without real parallelism.
+// WritePlannerTable renders the regret cells.
 func WritePlannerTable(rep *PerfReport, w io.Writer) error {
 	t := newTable(w, fmt.Sprintf("Auto-planner regret — %s, %d queries × len %d",
 		rep.Graph, rep.Queries, rep.WalkLength))
@@ -257,26 +235,5 @@ func WritePlannerTable(rep *PerfReport, w io.Writer) error {
 			p.AutoStepsPerSec/1e6, p.BestManual, p.BestManualStepsPerSec/1e6,
 			fmt.Sprintf("%.1f%%", 100*p.Regret))
 	}
-	if err := t.flush(); err != nil {
-		return err
-	}
-	for _, p := range rep.Planner {
-		switch {
-		case p.GoMaxProcs <= 1:
-			fmt.Fprintf(w, "shard-crossover %s p%d: skipped — single-core cell, sharding cannot win\n",
-				p.Algorithm, p.GoMaxProcs)
-		case p.BestShardedStepsPerSec <= p.BestUnshardedStepsPerSec*plannerCrossoverFactor:
-			fmt.Fprintf(w, "shard-crossover %s p%d: skipped — no empirical sharded advantage (sharded %.3g vs unsharded %.3g steps/s; the runner shows no real parallelism)\n",
-				p.Algorithm, p.GoMaxProcs, p.BestShardedStepsPerSec, p.BestUnshardedStepsPerSec)
-		default:
-			ok := "chose a sharded plan"
-			if p.ChosenShards <= 1 {
-				ok = "VIOLATION: chose an unsharded plan (the regression gate flags this)"
-			}
-			fmt.Fprintf(w, "shard-crossover %s p%d: sharding wins %.2fx — %s\n",
-				p.Algorithm, p.GoMaxProcs,
-				p.BestShardedStepsPerSec/p.BestUnshardedStepsPerSec, ok)
-		}
-	}
-	return nil
+	return t.flush()
 }

@@ -57,7 +57,7 @@ func runShardSweep(c *Context, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		eng, err := shard.NewEngine(g, p, wcfg, shard.EngineConfig{})
+		eng, err := shard.NewEngine(g, p, wcfg, shard.EngineConfig{Cohort: exec.DefaultCohort})
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@ type autoBackend struct{}
 func (autoBackend) Name() string { return "auto" }
 
 func (autoBackend) Description() string {
-	return "planner-selected CPU engine: graph stats + calibration pick backend/cohort/shards (see -explain-plan)"
+	return "planner-selected CPU engine: graph stats + calibration pick backend/cohort (see -explain-plan)"
 }
 
 // MergesBatches implements BatchMerger: every engine the planner can
@@ -46,6 +46,9 @@ func (autoBackend) SupportsVersionedGraphs() bool { return true }
 func (autoBackend) Heartbeats() bool { return true }
 
 func (autoBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
+	if cfg.Shards != 0 {
+		return nil, errShardsPin("auto", cfg.Shards)
+	}
 	if err := cfg.Walk.Validate(g); err != nil {
 		return nil, err
 	}
@@ -70,10 +73,7 @@ func NewPlanner(g *graph.CSR, cfg Config) *plan.Planner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cons := plan.Constraints{
-		Workers:           workers,
-		Shards:            cfg.Shards,
 		Cohort:            cfg.Cohort,
-		HubCacheBytes:     cfg.HubCacheBytes,
 		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
 	}
 	opts := plan.Options{}
@@ -99,7 +99,6 @@ func probeRunner(workers int) plan.ProbeRunner {
 			ses, err = Open(cand.Backend, g, Config{
 				Walk:              pcfg,
 				Workers:           workers,
-				Shards:            cand.Shards,
 				Cohort:            cand.Cohort,
 				MemoryBudgetBytes: budget,
 				DiscardPaths:      true,
@@ -155,9 +154,7 @@ func (p *execProbe) Close() error { return p.ses.Close() }
 func openPlanned(g *graph.CSR, cfg Config, pl plan.Plan) (Session, error) {
 	inner := cfg
 	inner.Plan = nil
-	inner.Shards = pl.Shards
 	inner.Cohort = pl.Cohort
-	inner.HubCacheBytes = pl.HubCacheBytes
 	inner.MemoryBudgetBytes = pl.MemoryBudgetBytes
 	ses, err := Open(pl.Backend, g, inner)
 	if err != nil {
@@ -205,8 +202,6 @@ func (s *autoSession) PlanReport() *PlanReport {
 	return &PlanReport{
 		Backend:              s.plan.Backend,
 		Cohort:               s.plan.Cohort,
-		Shards:               s.plan.Shards,
-		HubCacheBytes:        s.plan.HubCacheBytes,
 		MemoryBudgetBytes:    s.plan.MemoryBudgetBytes,
 		Source:               s.plan.Source,
 		Reason:               s.plan.Reason,

@@ -50,9 +50,7 @@ func TestAutoEquivalenceMatrix(t *testing.T) {
 				// Re-run the resolved plan by hand.
 				mcfg := Config{
 					Walk:              cfg,
-					Shards:            pr.Shards,
 					Cohort:            pr.Cohort,
-					HubCacheBytes:     pr.HubCacheBytes,
 					MemoryBudgetBytes: pr.MemoryBudgetBytes,
 					Snapshot:          acfg.Snapshot,
 				}
@@ -75,9 +73,7 @@ func TestAutoEquivalenceMatrix(t *testing.T) {
 
 // TestAutoRespectsMemoryBudget pins the planner's memory contract: a
 // stated budget reaches the chosen session verbatim (the probe-side
-// scaling never leaks into the plan), and the hub-cache knob — which
-// the budget subsumes and the pipelined backend rejects alongside it —
-// is dropped rather than forwarded.
+// scaling never leaks into the plan).
 func TestAutoRespectsMemoryBudget(t *testing.T) {
 	g := testGraph(t)
 	cfg, qs := testWorkload(t, g, walk.DeepWalk, 120)
@@ -86,7 +82,6 @@ func TestAutoRespectsMemoryBudget(t *testing.T) {
 		Walk:              cfg,
 		Plan:              fastCalibration(),
 		MemoryBudgetBytes: budget,
-		HubCacheBytes:     1 << 20, // must be dropped, not forwarded
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +97,6 @@ func TestAutoRespectsMemoryBudget(t *testing.T) {
 	}
 	if pr.MemoryBudgetBytes != budget {
 		t.Fatalf("plan budget %d, want the stated %d", pr.MemoryBudgetBytes, budget)
-	}
-	if pr.HubCacheBytes != 0 {
-		t.Fatalf("plan forwarded HubCacheBytes %d alongside a budget", pr.HubCacheBytes)
 	}
 	if res.Memory == nil {
 		t.Fatal("budgeted auto session attached no memory report")

@@ -55,32 +55,18 @@ type Config struct {
 	// Shards sets the cpu-sharded backend's partition count: the graph is
 	// split into this many edge-balanced shards, each owning a worker pool,
 	// with walkers migrating between shards on boundary crossings. 0 means
-	// a backend-chosen default (GOMAXPROCS capped at 8). The cpu-pipelined
-	// backend also honors it: Shards > 0 composes the cohort pipeline with
-	// the sharded engine (per-shard workers run the pipelined stepper).
-	// Other backends ignore it.
+	// a backend-chosen default (GOMAXPROCS capped at 8). auto and
+	// cpu-pipelined reject a nonzero value (the sharded engine is reached
+	// only by naming cpu-sharded); other backends ignore it.
 	Shards int
 
-	// Cohort sets the cpu-pipelined backend's in-flight walker count per
-	// worker: each worker advances that many walks together through the
-	// batched Row/Sample/Column/Move stages, overlapping CSR row fetches
-	// across walks. 0 means the backend default (DefaultCohort). Other
-	// backends ignore it.
+	// Cohort sets the cohort backends' in-flight walker count per worker
+	// (cpu-pipelined, and each shard worker of cpu-sharded): each worker
+	// advances that many walks together through the batched
+	// Row/Sample/Column/Move stages, overlapping CSR row fetches across
+	// walks. 0 means the backend default (DefaultCohort). Other backends
+	// ignore it.
 	Cohort int
-
-	// HubCacheBytes, when positive, sizes the degree-aware hub arena the
-	// cpu-pipelined backend builds over the graph: the highest-degree
-	// rows are copied, hub-first and cache-line aligned, into one compact
-	// block served to the cohort Row Access stage (graph.Layout), so the hot
-	// rows of a power-law walk live in a cache-resident arena instead of
-	// being scattered across the full CSR. The layout is content-
-	// identical to the CSR, so results are unaffected. 0 (the default)
-	// leaves the arena off: it is designed for multi-core runs where
-	// shard workers contend for the last-level cache, and measures
-	// neutral-to-slightly-negative on single-core hosts whose hub rows
-	// are already LLC-resident in place (see graph.Layout). Other
-	// backends ignore it.
-	HubCacheBytes int64
 
 	// MemoryBudgetBytes, when nonzero, serves the CPU backends through
 	// tiered memory: the highest-degree rows — the bulk of a power-law
@@ -95,9 +81,7 @@ type Config struct {
 	// any budget. Negative pins nothing — an all-cold store (tests,
 	// worst-case footprint measurement). 0 (the default) keeps the flat
 	// stores. Use graph.AutoMemoryBudget for a fit-the-hubs default.
-	// Mutually exclusive with HubCacheBytes on cpu-pipelined (the hot
-	// arena subsumes the hub cache). Simulator and analytic backends
-	// ignore it.
+	// Simulator and analytic backends ignore it.
 	MemoryBudgetBytes int64
 
 	// Snapshot, when non-nil, serves an epoch snapshot of a versioned
@@ -322,12 +306,10 @@ func SupportsVersionedGraphs(name string) bool {
 // under, plus its realized throughput — the record that keeps the
 // "auto" backend debuggable instead of a black box.
 type PlanReport struct {
-	// Backend, Cohort, Shards, HubCacheBytes, and MemoryBudgetBytes are
-	// the chosen engine and shape.
+	// Backend, Cohort, and MemoryBudgetBytes are the chosen engine and
+	// shape.
 	Backend           string
 	Cohort            int
-	Shards            int
-	HubCacheBytes     int64
 	MemoryBudgetBytes int64
 	// Source and Reason record how the decision was made ("stats",
 	// "calibrated", "replanned") and why.

@@ -10,7 +10,6 @@ import (
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/plan"
 	"ridgewalker/internal/sampling"
-	"ridgewalker/internal/shard"
 	"ridgewalker/internal/walk"
 )
 
@@ -36,11 +35,9 @@ const DefaultCohort = plan.DefaultCohort
 // retire/respawn), each run as a tight batched loop over a cohort of
 // in-flight walkers (walk.Cohort) — the software shadow
 // of the paper's perfectly pipelined datapath, in the spirit of
-// ThunderRW's step interleaving. With Shards > 0 the cohort stepper runs
-// inside the sharded engine's per-shard workers, composing partition
-// locality with step interleaving. Per-walker RNG streams keep output
-// byte-identical to the cpu backend for the same seed at any cohort size,
-// worker count, or shard count.
+// ThunderRW's step interleaving. Per-walker RNG streams keep output
+// byte-identical to the cpu backend for the same seed at any cohort size
+// or worker count.
 type pipelinedBackend struct{}
 
 func (pipelinedBackend) Name() string { return "cpu-pipelined" }
@@ -62,9 +59,14 @@ func (pipelinedBackend) SupportsMemoryTiering() bool { return true }
 func (pipelinedBackend) SupportsVersionedGraphs() bool { return true }
 
 // Heartbeats implements Heartbeater: the cohort stepper bumps
-// Batch.Heartbeat once per cohort pass (sharded composition: per
-// finished walk).
+// Batch.Heartbeat once per cohort pass.
 func (pipelinedBackend) Heartbeats() bool { return true }
+
+// errShardsPin refuses a shard count on a backend that never shards: the
+// partitioned engine is reached only by naming cpu-sharded.
+func errShardsPin(backend string, shards int) error {
+	return fmt.Errorf("exec: %s does not shard (Shards %d); open cpu-sharded to run the partitioned engine", backend, shards)
+}
 
 func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if cfg.Workers < 0 {
@@ -73,57 +75,21 @@ func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if cfg.Cohort < 0 {
 		return nil, fmt.Errorf("exec: cpu-pipelined cohort %d, want >= 0", cfg.Cohort)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("exec: cpu-pipelined shards %d, want >= 0", cfg.Shards)
+	if cfg.Shards != 0 {
+		return nil, errShardsPin("cpu-pipelined", cfg.Shards)
 	}
 	cohort := cfg.Cohort
 	if cohort == 0 {
 		cohort = DefaultCohort
 	}
-	if cfg.MemoryBudgetBytes != 0 && cfg.HubCacheBytes > 0 {
-		return nil, fmt.Errorf("exec: cpu-pipelined: MemoryBudgetBytes and HubCacheBytes are mutually exclusive (the tiered hot arena subsumes the hub cache)")
-	}
-	// The degree-aware hub arena (opt-in via HubCacheBytes) serves the
-	// cohort Row Access stage in both the sharded and unsharded compositions;
-	// content identity with the CSR keeps trajectories byte-identical.
-	var lay *graph.Layout
-	if cfg.HubCacheBytes > 0 {
-		lay = graph.NewLayout(g, cfg.HubCacheBytes)
-	}
-	// The sampler is borrowed from the process-wide registry in both
-	// compositions, so pipelined, sharded, and flat cpu sessions over the
-	// same graph all read one store. A memory budget swaps both borrows
-	// for their tiered counterparts; the cohort Row Access stage then decodes
-	// cold rows into per-lane scratch.
+	// The sampler is borrowed from the process-wide registry, so
+	// pipelined, sharded, and flat cpu sessions over the same graph all
+	// read one store. A memory budget swaps both borrows for their tiered
+	// counterparts; the cohort Row Access stage then decodes cold rows
+	// into per-lane scratch.
 	ref, ts, err := acquireWalkState(g, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 0 {
-		// Sharding × pipelining: per-shard workers run the cohort stepper.
-		part, err := shard.Partition(g, cfg.Shards)
-		if err != nil {
-			ts.release()
-			ref.Release()
-			return nil, err
-		}
-		ecfg := shard.EngineConfig{
-			Workers:  cfg.Workers,
-			Cohort:   cohort,
-			Layout:   lay,
-			Sampler:  ref.Sampler(),
-			Snapshot: cfg.Snapshot,
-		}
-		if ts != nil {
-			ecfg.Tiered = ts.gref.Store()
-		}
-		eng, err := shard.NewEngine(g, part, cfg.Walk, ecfg)
-		if err != nil {
-			ts.release()
-			ref.Release()
-			return nil, err
-		}
-		return &shardedSession{eng: eng, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts, tag: "cpu-pipelined"}, nil
 	}
 	workers := cfg.Workers
 	if workers == 0 {
@@ -137,9 +103,6 @@ func (pipelinedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 			ts.release()
 			ref.Release()
 			return nil, err
-		}
-		if lay != nil {
-			p.SetLayout(lay)
 		}
 		if ts != nil {
 			p.SetTiered(ts.gref.Store())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ridgewalker/internal/graph"
@@ -76,10 +77,9 @@ func TestPipelinedEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestPipelinedShardedCompose pins the sharding × pipelining composition:
-// cpu-pipelined with Shards > 1 runs the cohort stepper inside per-shard
-// workers and must stay byte-identical to cpu for every algorithm, shard
-// count, and cohort size.
+// TestPipelinedShardedCompose pins the cohort stepper inside the sharded
+// engine: cpu-sharded at pinned Shards × Cohort tuples must stay
+// byte-identical to cpu for every algorithm.
 func TestPipelinedShardedCompose(t *testing.T) {
 	g := irregularTestGraph(t)
 	for _, alg := range walk.Algorithms {
@@ -97,7 +97,7 @@ func TestPipelinedShardedCompose(t *testing.T) {
 			for _, shards := range []int{2, 4} {
 				for _, cohort := range []int{1, 3, 64} {
 					t.Run(fmt.Sprintf("shards=%d/cohort=%d", shards, cohort), func(t *testing.T) {
-						ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: shards, Cohort: cohort})
+						ses, err := Open("cpu-sharded", g, Config{Walk: cfg, Shards: shards, Cohort: cohort})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -110,7 +110,7 @@ func TestPipelinedShardedCompose(t *testing.T) {
 							t.Fatalf("steps %d, want %d", got.Steps, want.Steps)
 						}
 						if !reflect.DeepEqual(got.Paths, want.Paths) {
-							t.Fatal("sharded+pipelined paths differ from cpu backend")
+							t.Fatal("cpu-sharded paths differ from cpu backend")
 						}
 					})
 				}
@@ -175,6 +175,18 @@ func TestPipelinedOpenValidation(t *testing.T) {
 	if _, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: -1}); err == nil {
 		t.Fatal("negative shards accepted")
 	}
+	// A shard count is refused by the backends that never shard, with an
+	// error that names the one that does.
+	for _, backend := range []string{"auto", "cpu-pipelined"} {
+		ses, err := Open(backend, g, Config{Walk: cfg, Shards: 2})
+		if err == nil {
+			ses.Close()
+			t.Fatalf("%s accepted Shards 2", backend)
+		}
+		if !strings.Contains(err.Error(), "cpu-sharded") {
+			t.Fatalf("%s: Shards 2 refused with %q, want an error naming cpu-sharded", backend, err)
+		}
+	}
 	ses, err := Open("cpu-pipelined", g, Config{Walk: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -188,31 +200,37 @@ func TestPipelinedOpenValidation(t *testing.T) {
 }
 
 // TestOpenRejectsOversizedCohort: a cohort wider than walk.MaxCohort
-// fails at Open, unsharded and sharded, before any lane array is
-// allocated (1<<31 lanes would be tens of GB); walk.MaxCohort still
-// opens and runs.
+// fails at Open, on cpu-pipelined and on cpu-sharded, before any lane
+// array is allocated (1<<31 lanes would be tens of GB); walk.MaxCohort
+// still opens and runs.
 func TestOpenRejectsOversizedCohort(t *testing.T) {
 	g := irregularTestGraph(t)
 	cfg, qs := testWorkload(t, g, walk.URW, 8)
-	for _, shards := range []int{0, 2} {
+	for _, tc := range []struct {
+		backend string
+		shards  int
+	}{{"cpu-pipelined", 0}, {"cpu-sharded", 2}} {
+		open := func(cohort int) (Session, error) {
+			return Open(tc.backend, g, Config{Walk: cfg, Shards: tc.shards, Cohort: cohort, Workers: 1})
+		}
 		for _, cohort := range []int{walk.MaxCohort + 1, 1 << 31} {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			if ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: shards, Cohort: cohort, Workers: 1}); err == nil {
+			if ses, err := open(cohort); err == nil {
 				ses.Close()
-				t.Fatalf("shards=%d: cohort %d accepted", shards, cohort)
+				t.Fatalf("%s: cohort %d accepted", tc.backend, cohort)
 			}
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-				t.Fatalf("shards=%d: refused cohort %d allocated %d bytes", shards, cohort, grew)
+				t.Fatalf("%s: refused cohort %d allocated %d bytes", tc.backend, cohort, grew)
 			}
 		}
-		ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: shards, Cohort: walk.MaxCohort, Workers: 1})
+		ses, err := open(walk.MaxCohort)
 		if err != nil {
-			t.Fatalf("shards=%d: cohort walk.MaxCohort refused: %v", shards, err)
+			t.Fatalf("%s: cohort walk.MaxCohort refused: %v", tc.backend, err)
 		}
-		if shards == 0 {
+		if tc.shards == 0 {
 			if _, err := ses.Run(context.Background(), Batch{Queries: qs}); err != nil {
 				t.Fatal(err)
 			}
@@ -222,25 +240,23 @@ func TestOpenRejectsOversizedCohort(t *testing.T) {
 }
 
 // TestPipelinedDiscardPaths mirrors TestDiscardPaths for the pipelined
-// backend, in both flat and sharded composition.
+// backend.
 func TestPipelinedDiscardPaths(t *testing.T) {
 	g := irregularTestGraph(t)
 	cfg, qs := testWorkload(t, g, walk.URW, 120)
-	for _, shards := range []int{0, 2} {
-		ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, Shards: shards, DiscardPaths: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ses.Run(context.Background(), Batch{Queries: qs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Paths != nil {
-			t.Fatalf("shards=%d: DiscardPaths kept paths", shards)
-		}
-		if res.Steps == 0 {
-			t.Fatalf("shards=%d: no steps counted", shards)
-		}
-		ses.Close()
+	ses, err := Open("cpu-pipelined", g, Config{Walk: cfg, DiscardPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ses.Close()
+	res, err := ses.Run(context.Background(), Batch{Queries: qs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Paths != nil {
+		t.Fatal("DiscardPaths kept paths")
+	}
+	if res.Steps == 0 {
+		t.Fatal("no steps counted")
 	}
 }

@@ -68,11 +68,11 @@ func TestSessionsShareSamplerAcrossWalkLengths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := Open("cpu-sharded", g, Config{Walk: cfg1, Shards: 2})
+	s4, err := Open("cpu-sharded", g, Config{Walk: cfg1, Shards: 2, Cohort: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s5, err := Open("cpu-pipelined", g, Config{Walk: cfg1, Cohort: 8, Shards: 2})
+	s5, err := Open("cpu-sharded", g, Config{Walk: cfg1, Cohort: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestUnweightedEquivalenceMatrix(t *testing.T) {
 				backend string
 				cfg     Config
 			}{
-				{"cpu-sharded", Config{Walk: cfg, Shards: 3}},
+				{"cpu-sharded", Config{Walk: cfg, Shards: 3, Cohort: 1}},
 				{"cpu-pipelined", Config{Walk: cfg, Cohort: 16}},
-				{"cpu-pipelined", Config{Walk: cfg, Cohort: 16, Shards: 2}},
+				{"cpu-sharded", Config{Walk: cfg, Cohort: 16, Shards: 2}},
 			} {
-				name := variant.backend
+				name := fmt.Sprintf("%s-c%d", variant.backend, variant.cfg.Cohort)
 				if variant.cfg.Shards > 0 {
 					name = fmt.Sprintf("%s-s%d", name, variant.cfg.Shards)
 				}

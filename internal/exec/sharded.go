@@ -18,29 +18,30 @@ func init() {
 }
 
 // shardedBackend is the partitioned software engine: the graph is split
-// into edge-balanced shards (internal/shard), each shard owns a worker
-// pool, and walkers migrate between shards through batched mailbox
-// hand-offs when a hop crosses a partition boundary. Per-walker RNG
+// into edge-balanced shards (internal/shard), each shard owns a pool of
+// cohort-stepping workers, and walkers migrate between shards through
+// SPSC rings when a hop crosses a partition boundary. Per-walker RNG
 // streams keep its output byte-identical to the "cpu" backend for the
-// same seed at any shard count.
+// same seed at any shard count or cohort width. The planner never
+// chooses it; it runs only when named.
 type shardedBackend struct{}
 
 func (shardedBackend) Name() string { return "cpu-sharded" }
 
 func (shardedBackend) Description() string {
-	return "partitioned software engine: per-shard worker pools, batched walker migration"
+	return "partitioned software engine: per-shard cohort workers, ring walker migration (pin only)"
 }
 
 // MergesBatches implements BatchMerger: per-walker RNG streams make walks
 // independent of batch composition.
 func (shardedBackend) MergesBatches() bool { return true }
 
-// SupportsMemoryTiering implements MemoryTierer: depth-first shard
-// workers advance through per-worker TierViews when a budget is set.
+// SupportsMemoryTiering implements MemoryTierer: each shard worker's
+// cohort serves rows through the tiered store when a budget is set.
 func (shardedBackend) SupportsMemoryTiering() bool { return true }
 
-// SupportsVersionedGraphs implements VersionedGrapher: shard workers
-// consult the epoch overlay through their staged row views.
+// SupportsVersionedGraphs implements VersionedGrapher: each shard
+// worker's cohort consults the epoch overlay before the base row.
 func (shardedBackend) SupportsVersionedGraphs() bool { return true }
 
 // Heartbeats implements Heartbeater: the session bumps Batch.Heartbeat
@@ -72,6 +73,13 @@ func (shardedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("exec: cpu-sharded shards %d, want >= 0", cfg.Shards)
 	}
+	if cfg.Cohort < 0 {
+		return nil, fmt.Errorf("exec: cpu-sharded cohort %d, want >= 0", cfg.Cohort)
+	}
+	cohort := cfg.Cohort
+	if cohort == 0 {
+		cohort = DefaultCohort
+	}
 	k := cfg.Shards
 	if k == 0 {
 		k = defaultShards(g)
@@ -82,13 +90,12 @@ func (shardedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	}
 	// Per-shard execution borrows the registry's global sampler store;
 	// shard views never duplicate O(E) sampler state. A memory budget
-	// swaps the borrows for their tiered counterparts; each depth-first
-	// worker then advances through its own TierView.
+	// swaps the borrows for their tiered counterparts.
 	ref, ts, err := acquireWalkState(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ecfg := shard.EngineConfig{Workers: cfg.Workers, Sampler: ref.Sampler(), Snapshot: cfg.Snapshot}
+	ecfg := shard.EngineConfig{Workers: cfg.Workers, Cohort: cohort, Sampler: ref.Sampler(), Snapshot: cfg.Snapshot}
 	if ts != nil {
 		ecfg.Tiered = ts.gref.Store()
 	}
@@ -98,13 +105,13 @@ func (shardedBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 		ref.Release()
 		return nil, err
 	}
-	return &shardedSession{eng: eng, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts, tag: "cpu-sharded"}, nil
+	return &shardedSession{eng: eng, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts}, nil
 }
 
 // shardedSession adapts a shard.Engine to the Session interface. The
 // engine keeps no cross-run state, so unlike cpuSession no run-serializing
-// mutex is needed; mu only guards Close against in-flight calls observing
-// a nil engine.
+// mutex is needed: runs share mu's read lock, and Close takes the write
+// lock, so it waits for them before releasing the sampler they read.
 type shardedSession struct {
 	mu      sync.RWMutex
 	eng     *shard.Engine
@@ -112,10 +119,6 @@ type shardedSession struct {
 	maxPath int // longest possible path, WalkLength+1
 	sampler *sampling.SamplerRef
 	tier    *tierState
-	// tag is the creating backend's name ("cpu-sharded", or
-	// "cpu-pipelined" for the sharded×pipelined composition); it
-	// discriminates BatchExec fault injections.
-	tag string
 }
 
 // MemoryReport implements MemoryReporter (nil for untiered sessions).
@@ -136,21 +139,14 @@ func (s *shardedSession) SamplerBytes() int64 {
 	return sampling.Footprint(s.sampler.Sampler())
 }
 
-func (s *shardedSession) engine() (*shard.Engine, error) {
+func (s *shardedSession) Run(ctx context.Context, batch Batch) (*BatchResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.eng == nil {
+	eng := s.eng
+	if eng == nil {
 		return nil, fmt.Errorf("exec: session is closed")
 	}
-	return s.eng, nil
-}
-
-func (s *shardedSession) Run(ctx context.Context, batch Batch) (*BatchResult, error) {
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	if err := fault.CheckTag(fault.BatchExec, s.tag); err != nil {
+	if err := fault.CheckTag(fault.BatchExec, "cpu-sharded"); err != nil {
 		return nil, err
 	}
 	// Emits arrive concurrently from shard workers and do not say which:
@@ -160,7 +156,7 @@ func (s *shardedSession) Run(ctx context.Context, batch Batch) (*BatchResult, er
 	col := newCollector(len(batch.Queries), slots, s.maxPath, s.discard)
 	locks := make([]sync.Mutex, slots)
 	hb := batch.Heartbeat
-	_, err = eng.Run(ctx, batch.Queries, func(i int, _ walk.Query, path []graph.VertexID, st int64) error {
+	_, err := eng.Run(ctx, batch.Queries, func(i int, _ walk.Query, path []graph.VertexID, st int64) error {
 		slot := i % slots
 		locks[slot].Lock()
 		col.add(slot, i, path, st)
@@ -179,16 +175,18 @@ func (s *shardedSession) Run(ctx context.Context, batch Batch) (*BatchResult, er
 }
 
 func (s *shardedSession) Stream(ctx context.Context, batch Batch, fn func(WalkOutput) error) error {
-	eng, err := s.engine()
-	if err != nil {
-		return err
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	eng := s.eng
+	if eng == nil {
+		return fmt.Errorf("exec: session is closed")
 	}
-	if err := fault.CheckTag(fault.BatchExec, s.tag); err != nil {
+	if err := fault.CheckTag(fault.BatchExec, "cpu-sharded"); err != nil {
 		return err
 	}
 	hb := batch.Heartbeat
 	var outMu sync.Mutex // fn contract: never called concurrently
-	_, err = eng.Run(ctx, batch.Queries, func(_ int, q walk.Query, path []graph.VertexID, st int64) error {
+	_, err := eng.Run(ctx, batch.Queries, func(_ int, q walk.Query, path []graph.VertexID, st int64) error {
 		outMu.Lock()
 		defer outMu.Unlock()
 		if hb != nil {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"ridgewalker/internal/graph"
@@ -28,7 +29,6 @@ func tieredBudgets(g *graph.CSR) []int64 {
 // path, the per-lane cohort scratch, and the sharded migration fabric.
 func TestTieredEquivalenceMatrix(t *testing.T) {
 	g := testGraph(t)
-	backends := []string{"cpu", "cpu-pipelined", "cpu-sharded"}
 	for _, alg := range walk.Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg, qs := testWorkload(t, g, alg, 200)
@@ -36,26 +36,26 @@ func TestTieredEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, backend := range backends {
+			for _, sh := range cpuShapes() {
 				for _, budget := range tieredBudgets(g) {
-					ses, err := Open(backend, g, Config{Walk: cfg, Workers: 2, MemoryBudgetBytes: budget})
+					ses, err := sh.open(g, Config{Walk: cfg, Workers: 2, MemoryBudgetBytes: budget})
 					if err != nil {
-						t.Fatalf("%s budget=%d: %v", backend, budget, err)
+						t.Fatalf("%s budget=%d: %v", sh, budget, err)
 					}
 					got, err := ses.Run(context.Background(), Batch{Queries: qs})
 					if err != nil {
 						ses.Close()
-						t.Fatalf("%s budget=%d: %v", backend, budget, err)
+						t.Fatalf("%s budget=%d: %v", sh, budget, err)
 					}
 					if got.Memory == nil {
 						ses.Close()
-						t.Fatalf("%s budget=%d: no memory report", backend, budget)
+						t.Fatalf("%s budget=%d: no memory report", sh, budget)
 					}
 					for i := range want.Paths {
 						if !equalPath(got.Paths[i], want.Paths[i]) {
 							ses.Close()
 							t.Fatalf("%s budget=%d query %d: tiered path %v, flat %v",
-								backend, budget, i, got.Paths[i], want.Paths[i])
+								sh, budget, i, got.Paths[i], want.Paths[i])
 						}
 					}
 					ses.Close()
@@ -63,6 +63,35 @@ func TestTieredEquivalenceMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// engineShape is one pinned CPU-engine shape of an equivalence matrix.
+type engineShape struct {
+	backend        string
+	shards, cohort int
+}
+
+// cpuShapes lists the shapes every equivalence matrix runs: the flat
+// engine, the cohort pipeline, and the sharded engine at Shards {2, 4} ×
+// Cohort {1, 64}. Each is pinned, so no cell takes its shape from the
+// host's GOMAXPROCS.
+func cpuShapes() []engineShape {
+	shapes := []engineShape{{backend: "cpu"}, {backend: "cpu-pipelined", cohort: DefaultCohort}}
+	for _, shards := range []int{2, 4} {
+		for _, cohort := range []int{1, 64} {
+			shapes = append(shapes, engineShape{"cpu-sharded", shards, cohort})
+		}
+	}
+	return shapes
+}
+
+func (s engineShape) open(g *graph.CSR, cfg Config) (Session, error) {
+	cfg.Shards, cfg.Cohort = s.shards, s.cohort
+	return Open(s.backend, g, cfg)
+}
+
+func (s engineShape) String() string {
+	return fmt.Sprintf("%s/s%d/c%d", s.backend, s.shards, s.cohort)
 }
 
 func equalPath(a, b []graph.VertexID) bool {

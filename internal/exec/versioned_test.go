@@ -79,7 +79,6 @@ func mutationFixture(t *testing.T, g *graph.CSR, scenario string) (*graph.Snapsh
 // byte-identical to walks over a cold build of the final graph.
 func TestMutationEquivalenceMatrix(t *testing.T) {
 	g := testGraph(t)
-	backends := []string{"cpu", "cpu-pipelined", "cpu-sharded"}
 	scenarios := []string{"insert", "delete", "mixed"}
 	for _, alg := range walk.Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -90,24 +89,24 @@ func TestMutationEquivalenceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, backend := range backends {
+				for _, sh := range cpuShapes() {
 					for _, budget := range []int64{0, 1 << 16} {
-						ses, err := Open(backend, g, Config{
+						ses, err := sh.open(g, Config{
 							Walk: cfg, Workers: 2, MemoryBudgetBytes: budget, Snapshot: snap,
 						})
 						if err != nil {
-							t.Fatalf("%s/%s budget=%d: %v", scenario, backend, budget, err)
+							t.Fatalf("%s/%s budget=%d: %v", scenario, sh, budget, err)
 						}
 						got, err := ses.Run(context.Background(), Batch{Queries: qs})
 						if err != nil {
 							ses.Close()
-							t.Fatalf("%s/%s budget=%d: %v", scenario, backend, budget, err)
+							t.Fatalf("%s/%s budget=%d: %v", scenario, sh, budget, err)
 						}
 						for i := range want.Paths {
 							if !equalPath(got.Paths[i], want.Paths[i]) {
 								ses.Close()
 								t.Fatalf("%s/%s budget=%d query %d: overlay path %v, cold build %v",
-									scenario, backend, budget, i, got.Paths[i], want.Paths[i])
+									scenario, sh, budget, i, got.Paths[i], want.Paths[i])
 							}
 						}
 						ses.Close()

@@ -8,14 +8,35 @@ import (
 	"ridgewalker/internal/fault"
 )
 
+// DefaultHubArenaBytes is the floor of AutoMemoryBudget's hot tier on
+// large graphs: sized to sit inside a commodity last-level cache with
+// room to spare for walker state.
+const DefaultHubArenaBytes = 8 << 20
+
+// layoutAlign is the row alignment of the hot arena in Col entries:
+// 16 × 4-byte vertex ids = one 64-byte cache line, so a hot row never
+// shares its first cache line with the tail of the previous row.
+const layoutAlign = 16
+
+// Packed row-locator layout: offset(40) | degree(23) | hot(1). 2^40
+// offsets and 2^23 max degree (8.4M) comfortably exceed every graph this
+// repository generates; NewTiered rejects a graph that breaks them.
+const (
+	locArenaBit = 1
+	locDegShift = 1
+	locDegBits  = 23
+	locDegMask  = 1<<locDegBits - 1
+	locOffShift = locDegShift + locDegBits
+	locMaxOff   = 1 << 40
+)
+
 // Tiered is a two-tier physical encoding of a CSR: the highest-degree
 // rows — the hub set random walks actually hammer — stay uncompressed in
-// a 64B-aligned hot arena (the same layout a Layout uses), while every
-// remaining row is re-encoded as a delta-gap group-varint byte string in
-// one compressed cold arena (weights ride along per row, uint8-packed
-// when exact). One packed locator word per vertex — PR 4's
-// offset(40)|degree(23)|arena(1) layout, with the arena bit now meaning
-// "hot tier" — routes each access.
+// a 64B-aligned hot arena, while every remaining row is re-encoded as a
+// delta-gap group-varint byte string in one compressed cold arena
+// (weights ride along per row, uint8-packed when exact). One packed
+// locator word per vertex — offset(40)|degree(23)|hot(1) — routes each
+// access.
 //
 // The hot set is chosen by the MemoryBudgetBytes "auto" policy: rows in
 // descending degree order (ties by vertex id) are pinned until the hot
@@ -106,8 +127,7 @@ func NewTiered(g *CSR, budgetBytes int64) (*Tiered, error) {
 	t.stride = make([]uint8, g.NumVertices)
 
 	// Hot selection: descending degree, ties by vertex id, pinned until
-	// the first row that would overflow the budget (the same prefix rule
-	// as Layout's arena fit).
+	// the first row that would overflow the budget.
 	order := make([]VertexID, g.NumVertices)
 	for v := range order {
 		order[v] = VertexID(v)
@@ -189,9 +209,8 @@ func NewTiered(g *CSR, budgetBytes int64) (*Tiered, error) {
 // would pin everything hot, tiering must still leave a cold tail or the
 // locator overhead makes the "tiered" store larger than flat. Capped at
 // 2 GiB. On power-law graphs an eighth of the rows' bytes, spent
-// hub-first, covers the large majority of walk traffic (the same skew
-// argument behind Layout's hub arena) while leaving the cold tail —
-// where the compression wins live — as the bulk of the edges.
+// hub-first, covers the large majority of walk traffic while leaving the
+// cold tail — where the compression wins live — as the bulk of the edges.
 func AutoMemoryBudget(g *CSR) int64 {
 	flat := int64(len(g.Col)) * 4
 	if g.Weighted() {

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// starGraph builds a hub (vertex 0) pointing at every other vertex, plus
+// a sparse chain among the leaves, giving one obvious hub row.
+func starGraph(t *testing.T, n int) *CSR {
+	t.Helper()
+	var edges []Edge
+	for v := 1; v < n; v++ {
+		edges = append(edges, Edge{Src: 0, Dst: VertexID(v)})
+		edges = append(edges, Edge{Src: VertexID(v), Dst: VertexID((v % (n - 1)) + 1)})
+	}
+	g, err := Build(n, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // rowOf reads vertex v's row (and weights) through a tiered store the way
 // an engine would: hot rows from the arena, cold rows decoded.
 func rowOf(t *Tiered, v VertexID) ([]VertexID, []float32) {

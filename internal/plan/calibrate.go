@@ -145,7 +145,7 @@ func ProbeConfig(cfg walk.Config, opts Options) walk.Config {
 // fails only when query generation does (no eligible start vertices on
 // the probe graph), in which case the caller falls back to stats-only
 // planning.
-func calibrate(probeG *graph.CSR, fullEdges int64, cfg walk.Config, st GraphStats, cons Constraints, opts Options, runner ProbeRunner) ([]Measurement, error) {
+func calibrate(probeG *graph.CSR, fullEdges int64, cfg walk.Config, cons Constraints, opts Options, runner ProbeRunner) ([]Measurement, error) {
 	o := opts.withDefaults()
 	pcfg := ProbeConfig(cfg, o)
 	qs, err := walk.RandomQueries(probeG, pcfg, o.Queries, o.Seed)
@@ -164,7 +164,7 @@ func calibrate(probeG *graph.CSR, fullEdges int64, cfg walk.Config, st GraphStat
 			}
 		}
 	}
-	cands := Candidates(st, cons)
+	cands := Candidates(cons)
 	ms := make([]Measurement, len(cands))
 	probes := make([]Probe, len(cands))
 	defer func() {

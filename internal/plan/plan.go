@@ -1,13 +1,16 @@
 // Package plan is the execution planner behind the "auto" backend: it
-// decides which concrete engine — and which shape (cohort width, shard
-// count, hub/memory placement) — should serve a walk workload, instead
-// of leaving every knob hand-picked.
+// decides which concrete engine — and which shape (cohort width, memory
+// placement) — should serve a walk workload, instead of leaving every
+// knob hand-picked. Sharded execution is never planned: it has not won a
+// measurement on flat memory, so cpu-sharded is reached only by naming
+// it.
 //
 // The decision combines three signals, cheapest first:
 //
 //   - Graph statistics (stats.go): vertex/edge counts, degree skew and
 //     hub mass, weightedness, and the versioned-graph overlay dirtiness —
-//     all O(V), computed once per graph.
+//     all O(V), computed once per graph, reported by Explain, and
+//     re-planning every class once the overlay is heavily dirtied.
 //   - A calibration micro-bench (calibrate.go): tiny seeded cohort
 //     sweeps per candidate configuration, run against a sampled subgraph
 //     when the full graph is large, cached per (graph version, class).
@@ -16,9 +19,9 @@
 //     factor of the level the plan was adopted at, the class is
 //     re-planned and the plan revision advances.
 //
-// The decision itself (Decide) is a pure function of the statistics,
-// the constraints, and the calibration measurements, so it is
-// deterministic and unit-testable without running a single probe.
+// The decision itself (Decide) is a pure function of the constraints
+// and the calibration measurements, so it is deterministic and
+// unit-testable without running a single probe.
 package plan
 
 import (
@@ -58,43 +61,25 @@ type Candidate struct {
 	// Cohort is the cpu-pipelined in-flight walker count per worker
 	// (0 = backend default); other backends ignore it.
 	Cohort int
-	// Shards is the partition count for sharded execution (0 = none /
-	// backend default).
-	Shards int
 }
 
 // String renders the candidate the way the bench tables name
-// configurations ("cpu-pipelined c64 s2").
+// configurations ("cpu-pipelined c64").
 func (c Candidate) String() string {
 	s := c.Backend
 	if c.Cohort > 0 {
 		s += fmt.Sprintf(" c%d", c.Cohort)
 	}
-	if c.Shards > 0 {
-		s += fmt.Sprintf(" s%d", c.Shards)
-	}
 	return s
 }
 
 // Constraints are the caller-pinned knobs the planner must honor: a
-// nonzero Shards or Cohort restricts the candidate space to that value,
-// and the memory knobs pass through to the chosen session unchanged —
-// the planner never converts a stated budget into anything looser.
+// nonzero Cohort restricts the candidate space to that width, and the
+// memory budget passes through to the chosen session unchanged — the
+// planner never converts a stated budget into anything looser.
 type Constraints struct {
-	// Workers is the worker-pool size candidates run with; it doubles as
-	// the effective parallelism bound when generating sharded candidates.
-	// 0 means the runtime's GOMAXPROCS at planning time.
-	Workers int
-	// Shards, when nonzero, pins the shard count: only candidates with
-	// exactly this shard count are considered.
-	Shards int
 	// Cohort, when nonzero, pins the cpu-pipelined cohort width.
 	Cohort int
-	// HubCacheBytes passes through to cpu-pipelined plans. It is dropped
-	// (never forwarded) when MemoryBudgetBytes is also set — the tiered
-	// hot arena subsumes the hub cache, and the pair is rejected by the
-	// backend.
-	HubCacheBytes int64
 	// MemoryBudgetBytes is the stated memory budget. Every plan carries
 	// it verbatim; the planner scales it only for probe runs on sampled
 	// subgraphs, never for the plan itself.
@@ -104,9 +89,8 @@ type Constraints struct {
 // Plan is a resolved execution decision for one class.
 type Plan struct {
 	Candidate
-	// HubCacheBytes and MemoryBudgetBytes are the memory knobs the
-	// session must be opened with (see Constraints).
-	HubCacheBytes     int64
+	// MemoryBudgetBytes is the memory budget the session must be opened
+	// with (see Constraints).
 	MemoryBudgetBytes int64
 	// PredictedStepsPerSec is the calibration measurement the choice was
 	// based on; 0 when the plan came from statistics alone.
@@ -128,16 +112,13 @@ type Plan struct {
 // which session must serve it. Serving layers append it to their batch
 // keys: requests under different fingerprints never share a session.
 func (p Plan) Fingerprint() string {
-	return fmt.Sprintf("%s|c%d|s%d|h%d|m%d|r%d",
-		p.Backend, p.Cohort, p.Shards, p.HubCacheBytes, p.MemoryBudgetBytes, p.Revision)
+	return fmt.Sprintf("%s|c%d|m%d|r%d",
+		p.Backend, p.Cohort, p.MemoryBudgetBytes, p.Revision)
 }
 
 // String renders the plan for -explain-plan output.
 func (p Plan) String() string {
 	s := p.Candidate.String()
-	if p.HubCacheBytes > 0 {
-		s += fmt.Sprintf(" hub=%dB", p.HubCacheBytes)
-	}
 	if p.MemoryBudgetBytes != 0 {
 		s += fmt.Sprintf(" budget=%dB", p.MemoryBudgetBytes)
 	}
@@ -163,69 +144,33 @@ type Measurement struct {
 // from it (exec.DefaultCohort records the sweep behind the choice).
 const DefaultCohort = 256
 
-// Candidates enumerates the engine shapes worth considering for st
-// under cons, in deterministic order. The list is deliberately small —
-// calibration cost is candidates × probe runtime — and prunes shapes
-// the bench record shows cannot win: sharded execution needs more than
-// one effective core, and hub-cache variants are a pass-through pin,
-// not a searched dimension.
-func Candidates(st GraphStats, cons Constraints) []Candidate {
-	procs := cons.Workers
-	if procs < 1 {
-		procs = 1
-	}
+// Candidates enumerates the engine shapes worth considering under cons,
+// in deterministic order: the flat engine and the cohort pipeline at a
+// few widths (one, when cons pins it). The list is deliberately small —
+// calibration cost is candidates × probe runtime — and holds no sharded
+// shape: on RMAT-20 with two procs the sharded engine ran 4–5 Mstep/s
+// against 29–41 unsharded.
+func Candidates(cons Constraints) []Candidate {
 	cohorts := []int{16, 64, DefaultCohort}
 	if cons.Cohort > 0 {
 		cohorts = []int{cons.Cohort}
 	}
-	shards := 0
-	if procs > 1 {
-		shards = procs
-		if shards > 8 {
-			shards = 8
-		}
-	}
-	if cons.Shards > 0 {
-		shards = cons.Shards
-	}
-	// A shard must own at least one vertex.
-	if shards > st.Vertices {
-		shards = st.Vertices
-	}
-	var out []Candidate
-	if cons.Shards == 0 {
-		// Unsharded shapes: the flat engine and the cohort pipeline.
-		out = append(out, Candidate{Backend: "cpu"})
-		for _, c := range cohorts {
-			out = append(out, Candidate{Backend: "cpu-pipelined", Cohort: c})
-		}
-	}
-	if shards > 1 {
-		out = append(out, Candidate{Backend: "cpu-sharded", Shards: shards})
-		for _, c := range cohorts {
-			out = append(out, Candidate{Backend: "cpu-pipelined", Cohort: c, Shards: shards})
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, Candidate{Backend: "cpu"})
+	out := []Candidate{{Backend: "cpu"}}
+	for _, c := range cohorts {
+		out = append(out, Candidate{Backend: "cpu-pipelined", Cohort: c})
 	}
 	return out
 }
 
-// Decide is the pure decision function: given the graph statistics, the
-// constraints, and whatever calibration measurements exist (possibly
-// none), it returns the plan. With measurements it picks the fastest
-// surviving candidate (first wins ties, and the candidate order is
-// deterministic, so so is the decision); without, it falls back to the
-// heuristic the bench record supports: the unsharded cohort pipeline.
-// It never loses to the flat engine, and sharding has yet to win a
-// measurement on flat memory — so a sharded shape is chosen only by a
-// calibration that measured it faster, or by an explicit Shards pin.
-func Decide(st GraphStats, cons Constraints, ms []Measurement) Plan {
+// Decide is the pure decision function: given the constraints and
+// whatever calibration measurements exist (possibly none), it returns
+// the plan. With measurements it picks the fastest surviving candidate
+// (first wins ties, and the candidate order is deterministic, so so is
+// the decision); without, it falls back to the heuristic the bench
+// record supports: the cohort pipeline, which never loses to the flat
+// engine.
+func Decide(cons Constraints, ms []Measurement) Plan {
 	p := Plan{MemoryBudgetBytes: cons.MemoryBudgetBytes}
-	if cons.MemoryBudgetBytes == 0 {
-		p.HubCacheBytes = cons.HubCacheBytes
-	}
 	var best *Measurement
 	for i := range ms {
 		m := &ms[i]
@@ -244,16 +189,12 @@ func Decide(st GraphStats, cons Constraints, ms []Measurement) Plan {
 		return p
 	}
 	// Stats-only fallback.
-	cands := Candidates(st, cons)
-	p.Candidate = cands[0]
-	p.Source = "stats"
-	p.Reason = "no calibration measurements; first candidate"
-	for _, c := range cands {
-		if c.Backend == "cpu-pipelined" && (c.Cohort == DefaultCohort || cons.Cohort > 0) {
-			p.Candidate = c
-			p.Reason = "stats: cohort pipeline is never slower than the flat engine"
-			return p
-		}
+	cohort := DefaultCohort
+	if cons.Cohort > 0 {
+		cohort = cons.Cohort
 	}
+	p.Candidate = Candidate{Backend: "cpu-pipelined", Cohort: cohort}
+	p.Source = "stats"
+	p.Reason = "stats: cohort pipeline is never slower than the flat engine"
 	return p
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ridgewalker/internal/graph"
@@ -54,8 +55,8 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestCandidatesSingleCore(t *testing.T) {
-	st := ComputeStats(testGraph(t), nil)
-	got := Candidates(st, Constraints{Workers: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got := Candidates(Constraints{})
 	want := []Candidate{
 		{Backend: "cpu"},
 		{Backend: "cpu-pipelined", Cohort: 16},
@@ -63,54 +64,28 @@ func TestCandidatesSingleCore(t *testing.T) {
 		{Backend: "cpu-pipelined", Cohort: 256},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("single-core candidates = %v, want %v (no sharded shapes on one core)", got, want)
+		t.Fatalf("single-core candidates = %v, want %v", got, want)
 	}
 }
 
+// TestCandidatesMultiCoreAndPins: more cores add no sharded shape (the
+// sharded engine is reached only by naming cpu-sharded), and a pinned
+// cohort collapses the pipelined sweep to that width.
 func TestCandidatesMultiCoreAndPins(t *testing.T) {
-	st := ComputeStats(testGraph(t), nil)
-	got := Candidates(st, Constraints{Workers: 4})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	got := Candidates(Constraints{})
 	want := []Candidate{
 		{Backend: "cpu"},
 		{Backend: "cpu-pipelined", Cohort: 16},
 		{Backend: "cpu-pipelined", Cohort: 64},
 		{Backend: "cpu-pipelined", Cohort: 256},
-		{Backend: "cpu-sharded", Shards: 4},
-		{Backend: "cpu-pipelined", Cohort: 16, Shards: 4},
-		{Backend: "cpu-pipelined", Cohort: 64, Shards: 4},
-		{Backend: "cpu-pipelined", Cohort: 256, Shards: 4},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("multicore candidates = %v, want %v", got, want)
 	}
-	// Shard counts clamp at 8 regardless of worker count.
-	for _, c := range Candidates(st, Constraints{Workers: 32}) {
-		if c.Shards > 8 {
-			t.Fatalf("candidate %v exceeds the shard clamp", c)
-		}
-	}
-	// A pinned cohort collapses the pipelined sweep to that width.
-	for _, c := range Candidates(st, Constraints{Workers: 1, Cohort: 32}) {
-		if c.Backend == "cpu-pipelined" && c.Cohort != 32 {
-			t.Fatalf("pinned cohort ignored: %v", c)
-		}
-	}
-	// A pinned shard count drops every unsharded shape.
-	pinned := Candidates(st, Constraints{Workers: 1, Shards: 2})
-	if len(pinned) == 0 {
-		t.Fatal("no candidates under pinned shards")
-	}
-	for _, c := range pinned {
-		if c.Shards != 2 {
-			t.Fatalf("pinned shards ignored: %v", c)
-		}
-	}
-	// Shards can never exceed the vertex count; when the clamp removes
-	// every pinned-shard shape the fallback is the flat engine.
-	tiny := GraphStats{Vertices: 1}
-	fb := Candidates(tiny, Constraints{Workers: 4, Shards: 2})
-	if !reflect.DeepEqual(fb, []Candidate{{Backend: "cpu"}}) {
-		t.Fatalf("vertex-clamped fallback = %v, want [{cpu}]", fb)
+	pinned := Candidates(Constraints{Cohort: 32})
+	if want := []Candidate{{Backend: "cpu"}, {Backend: "cpu-pipelined", Cohort: 32}}; !reflect.DeepEqual(pinned, want) {
+		t.Fatalf("pinned-cohort candidates = %v, want %v", pinned, want)
 	}
 }
 
@@ -119,16 +94,15 @@ func TestCandidatesMultiCoreAndPins(t *testing.T) {
 // skipping failed probes and breaking ties toward the earlier
 // (deterministically ordered) candidate.
 func TestDecidePicksFastestAndIsPure(t *testing.T) {
-	st := ComputeStats(testGraph(t), nil)
-	cons := Constraints{Workers: 1}
+	cons := Constraints{}
 	ms := []Measurement{
 		{Candidate: Candidate{Backend: "cpu"}, StepsPerSec: 500},
 		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: 16}, Err: "probe failed"},
 		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: 64}, StepsPerSec: 900},
 		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: 256}, StepsPerSec: 900},
 	}
-	p1 := Decide(st, cons, ms)
-	p2 := Decide(st, cons, ms)
+	p1 := Decide(cons, ms)
+	p2 := Decide(cons, ms)
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("Decide is not deterministic on identical inputs")
 	}
@@ -140,60 +114,34 @@ func TestDecidePicksFastestAndIsPure(t *testing.T) {
 	}
 	// All probes failing degrades to the stats fallback.
 	failed := []Measurement{{Candidate: Candidate{Backend: "cpu"}, Err: "x"}}
-	if p := Decide(st, cons, failed); p.Source != "stats" {
+	if p := Decide(cons, failed); p.Source != "stats" {
 		t.Fatalf("all-failed calibration should fall back to stats, got %q", p.Source)
 	}
 }
 
 func TestDecideMemoryKnobs(t *testing.T) {
-	st := ComputeStats(testGraph(t), nil)
-	// A stated budget passes through verbatim and suppresses the hub pin.
-	p := Decide(st, Constraints{Workers: 1, MemoryBudgetBytes: 1 << 20, HubCacheBytes: 1 << 16}, nil)
+	// A stated budget passes through verbatim.
+	p := Decide(Constraints{MemoryBudgetBytes: 1 << 20}, nil)
 	if p.MemoryBudgetBytes != 1<<20 {
 		t.Fatalf("budget = %d, want %d", p.MemoryBudgetBytes, 1<<20)
 	}
-	if p.HubCacheBytes != 0 {
-		t.Fatalf("hub cache forwarded alongside a budget: %d", p.HubCacheBytes)
-	}
-	// Without a budget the hub pin passes through.
-	p = Decide(st, Constraints{Workers: 1, HubCacheBytes: 1 << 16}, nil)
-	if p.HubCacheBytes != 1<<16 || p.MemoryBudgetBytes != 0 {
-		t.Fatalf("hub/budget = %d/%d, want %d/0", p.HubCacheBytes, p.MemoryBudgetBytes, 1<<16)
+	if p = Decide(Constraints{}, nil); p.MemoryBudgetBytes != 0 {
+		t.Fatalf("budget = %d without one stated, want 0", p.MemoryBudgetBytes)
 	}
 }
 
 func TestDecideStatsFallback(t *testing.T) {
-	st := ComputeStats(testGraph(t), nil)
-	// Any core count: the unsharded cohort pipeline at the fallback width.
-	// Sharding has to win a calibration (or be pinned) to be planned.
-	for _, workers := range []int{1, 2, 4, 16} {
-		p := Decide(st, Constraints{Workers: workers}, nil)
-		if want := (Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort}); p.Candidate != want {
-			t.Fatalf("workers=%d: fallback = %v, want %v", workers, p.Candidate, want)
-		}
-		if p.Source != "stats" {
-			t.Fatalf("workers=%d: source = %q, want stats", workers, p.Source)
-		}
+	// The cohort pipeline at the fallback width, or at the pinned one.
+	p := Decide(Constraints{}, nil)
+	if want := (Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort}); p.Candidate != want {
+		t.Fatalf("fallback = %v, want %v", p.Candidate, want)
 	}
-	// An explicit Shards constraint is still honoured, with or without a
-	// cohort pin, on one core as on many.
-	for _, workers := range []int{1, 4} {
-		p := Decide(st, Constraints{Workers: workers, Shards: 3}, nil)
-		if want := (Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort, Shards: 3}); p.Candidate != want {
-			t.Fatalf("workers=%d shards pinned: fallback = %v, want %v", workers, p.Candidate, want)
-		}
-		p = Decide(st, Constraints{Workers: workers, Shards: 3, Cohort: 32}, nil)
-		if want := (Candidate{Backend: "cpu-pipelined", Cohort: 32, Shards: 3}); p.Candidate != want {
-			t.Fatalf("workers=%d shards+cohort pinned: fallback = %v, want %v", workers, p.Candidate, want)
-		}
+	if p.Source != "stats" {
+		t.Fatalf("source = %q, want stats", p.Source)
 	}
-	// A measurement can still crown a sharded shape.
-	p := Decide(st, Constraints{Workers: 4}, []Measurement{
-		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort}, StepsPerSec: 100},
-		{Candidate: Candidate{Backend: "cpu-pipelined", Cohort: 64, Shards: 4}, StepsPerSec: 130},
-	})
-	if p.Shards != 4 || p.Source != "calibrated" {
-		t.Fatalf("measured sharded winner not adopted: %v (%s)", p.Candidate, p.Source)
+	p = Decide(Constraints{Cohort: 32}, nil)
+	if want := (Candidate{Backend: "cpu-pipelined", Cohort: 32}); p.Candidate != want {
+		t.Fatalf("cohort pinned: fallback = %v, want %v", p.Candidate, want)
 	}
 }
 
@@ -308,7 +256,7 @@ func TestPlannerDeterministicAndDrift(t *testing.T) {
 		"cpu-pipelined c64":  200,
 		"cpu-pipelined c256": 150,
 	})
-	cons := Constraints{Workers: 1}
+	cons := Constraints{}
 	p1 := New(g, cons, opts, runner)
 	p2 := New(g, cons, opts, runner)
 	pl1, err := p1.PlanFor(cfg)
@@ -365,7 +313,7 @@ func TestObserveDriftIsPerBatchSize(t *testing.T) {
 	g := testGraph(t)
 	cfg := walk.DefaultConfig(walk.URW)
 	opts := Options{MinObservations: 4, DriftFactor: 2}
-	p := New(g, Constraints{Workers: 1}, opts, nil)
+	p := New(g, Constraints{}, opts, nil)
 	base, err := p.PlanFor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +359,7 @@ func TestObserveDriftIsPerBatchSize(t *testing.T) {
 func TestObserveIgnoresBatchesBelowProbeSize(t *testing.T) {
 	g := testGraph(t)
 	cfg := walk.DefaultConfig(walk.URW)
-	p := New(g, Constraints{Workers: 1}, Options{Queries: 1024, MinObservations: 4, DriftFactor: 2}, nil)
+	p := New(g, Constraints{}, Options{Queries: 1024, MinObservations: 4, DriftFactor: 2}, nil)
 	if _, err := p.PlanFor(cfg); err != nil {
 		t.Fatal(err)
 	}

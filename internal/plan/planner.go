@@ -168,7 +168,6 @@ func (p *Planner) PlanFor(cfg walk.Config) (Plan, error) {
 		rev = cs.plan.Revision + 1
 		source = "replanned"
 	}
-	st := p.stats
 	p.mu.Unlock()
 
 	// Calibration runs outside the planner lock: probes take real time
@@ -180,13 +179,13 @@ func (p *Planner) PlanFor(cfg walk.Config) (Plan, error) {
 	var calErr string
 	if p.opts.Calibrate && p.runner != nil {
 		var err error
-		ms, err = calibrate(p.probeGraph(), p.g.NumEdges(), cfg, st, p.cons, p.opts, p.runner)
+		ms, err = calibrate(p.probeGraph(), p.g.NumEdges(), cfg, p.cons, p.opts, p.runner)
 		if err != nil {
 			calErr = err.Error()
 			ms = nil
 		}
 	}
-	pl := Decide(st, p.cons, ms)
+	pl := Decide(p.cons, ms)
 	pl.Revision = rev
 	if source != "" && pl.Source == "calibrated" {
 		pl.Source = source
@@ -269,7 +268,7 @@ func (p *Planner) Observe(cfg walk.Config, queries int, stepsPerSec float64) {
 
 // Demote switches cfg's class to the known-good flat cpu backend after
 // its circuit breaker opened, stashing the current plan for Restore.
-// The demoted plan keeps the constraint memory knobs and advances the
+// The demoted plan keeps the constraint memory budget and advances the
 // revision — Revision feeds the plan fingerprint, so serving layers
 // re-coalesce onto fresh sessions instead of reusing ones the faulting
 // backend may have corrupted. Demoting an already-demoted class is a
@@ -292,9 +291,6 @@ func (p *Planner) Demote(cfg walk.Config, reason string) (Plan, bool) {
 		Source:            "demoted",
 		Reason:            reason,
 		Revision:          cs.plan.Revision + 1,
-	}
-	if p.cons.MemoryBudgetBytes == 0 {
-		pl.HubCacheBytes = p.cons.HubCacheBytes
 	}
 	cs.prev = cs.plan
 	cs.demoted = true

@@ -21,7 +21,7 @@ type GraphStats struct {
 	MaxDegree int
 	// HubMass is the fraction of all edges owned by (approximately) the
 	// top 1% highest-degree vertices — the skew signal that decides
-	// whether hub-oriented placement (hot arenas, hub caches) can pay.
+	// whether hub-oriented placement (hot arenas) can pay.
 	// It is computed from power-of-two degree buckets, so the vertex cut
 	// is approximate but deterministic.
 	HubMass float64

@@ -155,6 +155,14 @@ type AliasSampler struct {
 	// the spill arenas. Nil on a base sampler.
 	spillProb  []float64
 	spillAlias []int32
+
+	// spare is the locator array of an evicted derived sampler, kept on
+	// the base for the next WithRebuiltRows to refill: an epoch switch
+	// then copies V locator words into memory it already holds instead of
+	// allocating (and page-faulting in) a fresh O(V) array. Guarded by
+	// spareMu; nil on derived samplers.
+	spareMu sync.Mutex
+	spare   []uint64
 }
 
 // NewAliasSampler packs alias tables for every vertex of g with degree > 0
@@ -299,8 +307,9 @@ func (s *AliasSampler) MemoryFootprint() int64 {
 // into them); dirty rows are re-packed into fresh spill arenas sized to
 // their merged degrees, and only their locators are repointed. A
 // mutation touching k vertices therefore costs O(k·deg) row builds plus
-// one O(V) locator-word copy — never the O(E) arena rebuild of a cold
-// NewAliasSampler. Rows come out of the same deterministic Vose
+// one O(V) locator-word copy (into the locator array of the last evicted
+// derived sampler, when there is one) — never the O(E) arena rebuild of
+// a cold NewAliasSampler. Rows come out of the same deterministic Vose
 // construction, so draws over clean and rebuilt rows alike are identical
 // to a cold build of the merged graph.
 //
@@ -326,7 +335,7 @@ func (s *AliasSampler) WithRebuiltRows(snap *graph.Snapshot) (*AliasSampler, err
 	d := &AliasSampler{
 		prob:       s.prob,
 		alias:      s.alias,
-		loc:        append([]uint64(nil), s.loc...),
+		loc:        s.spareLoc(),
 		bytes:      s.bytes + entries*12,
 		spillProb:  make([]float64, entries),
 		spillAlias: make([]int32, entries),
@@ -350,6 +359,33 @@ func (s *AliasSampler) WithRebuiltRows(snap *graph.Snapshot) (*AliasSampler, err
 		off += deg
 	}
 	return d, nil
+}
+
+// spareLoc returns a copy of s.loc, written into the spare array when
+// there is one.
+func (s *AliasSampler) spareLoc() []uint64 {
+	s.spareMu.Lock()
+	loc := s.spare
+	s.spare = nil
+	s.spareMu.Unlock()
+	if loc == nil {
+		loc = make([]uint64, len(s.loc))
+	}
+	copy(loc, s.loc)
+	return loc
+}
+
+// recycle keeps the locator array of d, a sampler derived from s that
+// nothing borrows any more, as s's spare. d must not be used afterwards;
+// its locators are cleared so a stray draw fails instead of reading the
+// next epoch's rows.
+func (s *AliasSampler) recycle(d *AliasSampler) {
+	s.spareMu.Lock()
+	if s.spare == nil {
+		s.spare = d.loc
+	}
+	s.spareMu.Unlock()
+	d.loc = nil
 }
 
 // SpillEntries reports the number of alias slots in the spill arenas (0

@@ -276,7 +276,8 @@ func (reg *Registry) Acquire(g *graph.CSR, spec Spec) (*SamplerRef, error) {
 // epochs. The alias kind holds O(E) row state, so a snapshot with dirty
 // rows gets a per-epoch entry derived incrementally from the base
 // sampler via WithRebuiltRows (base arenas shared, dirty rows rebuilt);
-// the base borrow is released when the derived entry is evicted.
+// when the derived entry is evicted its locator array goes back to the
+// base for the next epoch, and the base borrow is released.
 func (reg *Registry) AcquireSnapshot(snap *graph.Snapshot, spec Spec) (*SamplerRef, error) {
 	g := snap.Graph()
 	if spec.Kind != KindAlias || snap.NumDirty() == 0 {
@@ -316,7 +317,10 @@ func (reg *Registry) AcquireSnapshot(snap *graph.Snapshot, spec Spec) (*SamplerR
 			return
 		}
 		e.sampler = d
-		e.onEvict = baseRef.Release
+		e.onEvict = func() {
+			base.recycle(d)
+			baseRef.Release()
+		}
 	})
 	if e.err != nil {
 		reg.drop(key, e)

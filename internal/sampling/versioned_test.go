@@ -190,6 +190,56 @@ func TestRegistryAcquireSnapshot(t *testing.T) {
 	}
 }
 
+// TestRegistryRecyclesDerivedLocators: evicting an epoch's derived alias
+// entry hands its locator array back to the base, the next epoch's
+// derivation refills that array instead of allocating one, and its draws
+// still match a cold build of the next epoch's graph.
+func TestRegistryRecyclesDerivedLocators(t *testing.T) {
+	g, vg, snap := versionedSamplingFixture(t)
+	reg := NewRegistry()
+	spec := Spec{Kind: KindAlias, Weighted: true}
+	baseRef, err := reg.Acquire(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer baseRef.Release()
+	first, err := reg.AcquireSnapshot(snap, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1 := first.Sampler().(*AliasSampler)
+	loc1 := &d1.loc[0]
+	first.Release()
+	if d1.loc != nil {
+		t.Fatal("evicted derived sampler kept its locators")
+	}
+
+	if err := vg.InsertEdges([]graph.Edge{{Src: 7, Dst: 77}, {Src: 200, Dst: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := reg.AcquireSnapshot(vg.Snapshot(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Release()
+	d2 := second.Sampler().(*AliasSampler)
+	if &d2.loc[0] != loc1 {
+		t.Fatal("next epoch's derived sampler allocated new locators instead of reusing the evicted ones")
+	}
+	cold, err := NewAliasSampler(vg.Compact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.NumVertices; v++ {
+		r1, r2 := rng.New(uint64(v)+1), rng.New(uint64(v)+1)
+		for i := 0; i < 16; i++ {
+			if got, want := d2.DrawAt(graph.VertexID(v), r1), cold.DrawAt(graph.VertexID(v), r2); got != want {
+				t.Fatalf("vertex %d draw %d: recycled-locator sampler %d, cold %d", v, i, got, want)
+			}
+		}
+	}
+}
+
 // TestSpecStringRoundTrip is the Spec.String bugfix regression: the
 // rendering must be injective (rejection and reservoir no longer collapse
 // at p=q=0, schemas print as label lists, not raw bytes) and ParseSpec

@@ -21,23 +21,17 @@ type EngineConfig struct {
 	// pool gets max(1, Workers/K) goroutines, so the actual total is at
 	// least K. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// MigrateBatch is retained for configuration compatibility and is
-	// ignored: the SPSC migration rings hand walkers off as individual
-	// record copies (cheaper than one channel send), and doorbell
-	// notifications are coalesced per drain pass, so there is no batch
-	// size left to tune.
-	MigrateBatch int
 	// MaxInflight caps the walkers concurrently in flight across all
 	// shards. It sizes the engine's walker-record pool: each record owns
 	// a path buffer and RNG stream, recycled through the mesh's free
 	// rings for the engine's lifetime. 0 means 4096.
 	MaxInflight int
-	// Cohort switches the per-shard workers from depth-first advancement
-	// to the step-interleaved cohort pipeline (walk.Cohort): each worker
-	// batches up to Cohort resident walkers and runs the Row/Sample/Column/Move
-	// stages over all of them per pass, so row fetches overlap sampling
-	// across walkers. Walkers still migrate on boundary crossings with
-	// identical trajectories. 0 keeps depth-first advancement.
+	// Cohort is each shard worker's lane count, 1 to walk.MaxCohort: the
+	// worker batches up to Cohort resident walkers into a step-interleaved
+	// walk.Cohort and runs the Row/Sample/Column/Move stages over all of
+	// them per pass, so row fetches overlap sampling across walkers.
+	// Walkers still migrate on boundary crossings with identical
+	// trajectories.
 	Cohort int
 	// RingCapacity caps each SPSC migration ring (walker records per
 	// producer→consumer worker pair). A full ring never blocks and never
@@ -46,23 +40,15 @@ type EngineConfig struct {
 	// (a walk's path never depends on which worker advances it). 0 means
 	// 512.
 	RingCapacity int
-	// Layout optionally serves cohort Row Access reads through a degree-aware
-	// graph.Layout (hub rows in a compact cache-resident arena). It must
-	// be built over the engine's graph; content identity makes it
-	// trajectory-neutral. Ignored when Cohort == 0.
-	Layout *graph.Layout
 	// Tiered optionally serves row reads through a tiered store (hot
-	// arena + compressed cold CSR): cohort workers route their Row Access
-	// stage through it and depth-first workers advance through per-worker
-	// TierViews. It must be built over the engine's graph; content
-	// identity makes it trajectory-neutral. Mutually exclusive with
-	// Layout (the tiered store subsumes the hub arena).
+	// arena + compressed cold CSR): each worker's cohort routes its Row
+	// Access stage through it. It must be built over the engine's graph;
+	// content identity makes it trajectory-neutral.
 	Tiered *graph.Tiered
 	// Snapshot optionally serves an epoch snapshot of a versioned graph:
 	// rows dirty for the snapshot's epoch are read from its merged
-	// overlay (cohort workers through Cohort.SetSnapshot, depth-first
-	// workers through their staged RowView), and second-order probes
-	// route through it. It must be a snapshot over the engine's graph.
+	// overlay (Cohort.SetSnapshot), and second-order probes route through
+	// it. It must be a snapshot over the engine's graph.
 	Snapshot *graph.Snapshot
 	// Sampler, when non-nil, is a prebuilt sampler the engine borrows
 	// instead of building its own — the execution layer passes its
@@ -132,8 +118,8 @@ type EmitFunc func(index int, q walk.Query, path []graph.VertexID, steps int64) 
 // cross-shard neighbors), so shard-local row storage cannot serve them.
 // The engine's locality comes from grouping walkers by owning shard —
 // each worker's accesses concentrate in its partition's slice of the
-// global arrays (plus the shared hub arena when a Layout is configured);
-// the Shard CSR views serve partition statistics and tooling.
+// global arrays; the Shard CSR views serve partition statistics and
+// tooling.
 //
 // Results are byte-identical to the unsharded engines for the same seed:
 // a walker's RNG stream is keyed by its query ID exactly as walk.Run's,
@@ -170,25 +156,17 @@ const meshCacheCap = 4
 // NewEngine binds a partitioned graph and a walk configuration,
 // constructing the sampler once.
 func NewEngine(g *graph.CSR, p *Partitioning, wcfg walk.Config, cfg EngineConfig) (*Engine, error) {
+	if cfg.Cohort < 1 || cfg.Cohort > walk.MaxCohort {
+		return nil, fmt.Errorf("shard: cohort %d, want >= 1 and <= %d", cfg.Cohort, walk.MaxCohort)
+	}
 	if p == nil || len(p.Shards) == 0 {
 		return nil, fmt.Errorf("shard: engine needs a non-empty partitioning")
-	}
-	if cfg.Cohort < 0 || cfg.Cohort > walk.MaxCohort {
-		return nil, fmt.Errorf("shard: cohort %d, want >= 0 and <= %d", cfg.Cohort, walk.MaxCohort)
 	}
 	if cfg.RingCapacity < 0 {
 		return nil, fmt.Errorf("shard: ring capacity %d, want >= 0", cfg.RingCapacity)
 	}
-	if cfg.Layout != nil && cfg.Layout.Graph() != g {
-		return nil, fmt.Errorf("shard: layout built over a different graph")
-	}
-	if cfg.Tiered != nil {
-		if cfg.Tiered.Graph() != g {
-			return nil, fmt.Errorf("shard: tiered store built over a different graph")
-		}
-		if cfg.Layout != nil {
-			return nil, fmt.Errorf("shard: layout and tiered store are mutually exclusive")
-		}
+	if cfg.Tiered != nil && cfg.Tiered.Graph() != g {
+		return nil, fmt.Errorf("shard: tiered store built over a different graph")
 	}
 	if cfg.Snapshot != nil && cfg.Snapshot.Graph() != g {
 		return nil, fmt.Errorf("shard: snapshot over a different graph")
@@ -214,10 +192,8 @@ func NewEngine(g *graph.CSR, p *Partitioning, wcfg walk.Config, cfg EngineConfig
 	} else if err := wcfg.Validate(g); err != nil {
 		return nil, err
 	}
-	if cfg.Cohort > 0 {
-		if _, ok := sampling.AsStaged(sampler); !ok {
-			return nil, fmt.Errorf("shard: sampler %T is not stage-resumable; cohort stepping unavailable", sampler)
-		}
+	if _, ok := sampling.AsStaged(sampler); !ok {
+		return nil, fmt.Errorf("shard: sampler %T is not stage-resumable; cohort stepping unavailable", sampler)
 	}
 	return &Engine{
 		g:       g,
@@ -327,61 +303,14 @@ func (r *run) flushBells(ws *workerState) {
 	}
 }
 
-// advanceRec walks the record in ws.rec while it stays on this shard's
-// vertices — or on cache-resident hub rows, which cost the same from any
-// shard — then either finishes it or copies it into the owner's ring.
-// Depth-first advancement (walk until you leave) keeps a walker's state
-// and path buffer hot in L1/L2 across consecutive hops. A full
-// destination ring is lossless backpressure: the walker simply keeps
-// advancing here (same trajectory) and retries at its next boundary
-// crossing.
-func (r *run) advanceRec(wi int, ws *workerState) {
-	e, m := r.eng, r.m
-	w := &ws.rec
-	for {
-		var more bool
-		if ws.tv != nil || ws.mem.Snap != nil {
-			more = walk.AdvanceView(e.g, ws.tv, &ws.mem, e.sampler, e.wcfg, &w.st, &w.r)
-		} else {
-			more = walk.Advance(e.g, e.sampler, e.wcfg, &w.st, &w.r)
-		}
-		if !more {
-			r.finishRec(wi, w)
-			return
-		}
-		// The O(1) resident-hub bitset goes first: hub hops are the common
-		// case on power-law graphs, and short-circuiting here skips the
-		// Owner binary search entirely on the per-hop hot path.
-		cur := w.st.Cur
-		if e.part.Resident(cur) {
-			continue
-		}
-		dst := e.part.Owner(cur)
-		if dst == ws.shardID {
-			continue
-		}
-		// Hand-off injection point (armed-guarded: one atomic load when
-		// chaos is off); surfaces as a panic the shard-worker containment
-		// converts to an engine fault.
-		if fault.Armed() {
-			fault.MustCheck(fault.ShardHandoff)
-		}
-		c := m.route(&ws.rr, dst)
-		if m.rings[wi][c].push(w) {
-			r.migrations.Add(1)
-			ws.dirty[c] = true
-			return
-		}
-		r.stalls.Add(1)
-		m.bell(c) // nudge the consumer to drain; meanwhile advance in place
-	}
-}
-
 // ejectLane hands a cohort lane's walker to the shard owning its new
 // position (called by the cohort's eject callback after the lane's State
 // was synced). A full ring parks the lane on the stalled list; the
 // worker retries after the pass and re-admits locally if still full.
 func (r *run) ejectLane(wi int, ws *workerState, tag int32) {
+	// Hand-off injection point (armed-guarded: one atomic load when chaos
+	// is off); surfaces as a panic the shard-worker containment converts
+	// to an engine fault.
 	if fault.Armed() {
 		fault.MustCheck(fault.ShardHandoff)
 	}
@@ -397,63 +326,21 @@ func (r *run) ejectLane(wi int, ws *workerState, tag int32) {
 	ws.stalled = append(ws.stalled, tag)
 }
 
-// workerDF is one depth-first goroutine of a shard's pool: drain every
-// inbound ring, advance each arrival as far as the shard allows, flush
-// doorbells, park when idle.
-func (r *run) workerDF(wi int) {
-	defer r.wg.Done()
-	// Panic firewall: a crash while advancing one walker fails the run
-	// (closing abortCh wakes every parked worker and the injector) and
-	// quarantines the mesh, never the process.
-	if err := fault.Contain("shard-worker", func() error {
-		r.workerDFLoop(wi)
-		return nil
-	}); err != nil {
-		r.fail(err)
-	}
-}
-
-func (r *run) workerDFLoop(wi int) {
-	m := r.m
-	ws := m.workers[wi]
-	for {
-		worked := false
-		for p := 0; p <= m.W; p++ {
-			ring := m.rings[p][wi]
-			for ring.pop(&ws.rec) {
-				worked = true
-				if r.aborted() {
-					return
-				}
-				r.advanceRec(wi, ws)
-			}
-		}
-		r.flushBells(ws)
-		if worked {
-			continue
-		}
-		select {
-		case <-m.bells[wi]:
-		case <-r.doneCh:
-			return
-		case <-r.abortCh:
-			return
-		}
-	}
-}
-
-// workerCohort is the cohort-stepping variant: arrivals are popped
-// straight into free lane records and admitted to the walk.Cohort, which
-// advances all resident walkers one Row/Sample/Column/Move pass at a time —
-// one walker's CSR row fetch overlaps the sampling and move work of the
-// rest. Ejection is decided per hop by the depart callback (the same
-// resident-hub / owner check the depth-first worker makes); ejected
-// walkers leave with their State synced, as one flat record copy into
-// the destination ring. The inbound rings double as the admission
-// backlog: the worker pops only when a lane is free, so excess arrivals
-// wait in the ring, not in a growing slice.
+// workerCohort is one goroutine of a shard's pool: arrivals are popped
+// straight into free lane records and admitted to the worker's
+// walk.Cohort, which advances all resident walkers one
+// Row/Sample/Column/Move pass at a time — one walker's CSR row fetch
+// overlaps the sampling and move work of the rest. Ejection is decided
+// per hop by the depart callback (resident hubs and this shard's own
+// vertices stay); ejected walkers leave with their State synced, as one
+// flat record copy into the destination ring. The inbound rings double
+// as the admission backlog: the worker pops only when a lane is free, so
+// excess arrivals wait in the ring, not in a growing slice.
 func (r *run) workerCohort(wi int) {
 	defer r.wg.Done()
+	// Panic firewall: a crash while advancing a walker fails the run
+	// (closing abortCh wakes every parked worker and the injector) and
+	// quarantines the mesh, never the process.
 	if err := fault.Contain("shard-worker", func() error {
 		r.workerCohortLoop(wi)
 		return nil
@@ -622,11 +509,7 @@ func (e *Engine) Run(ctx context.Context, queries []walk.Query, fn EmitFunc) (Ru
 	m.acquire(r)
 	for wi := 0; wi < m.W; wi++ {
 		r.wg.Add(1)
-		if e.cfg.Cohort > 0 {
-			go r.workerCohort(wi)
-		} else {
-			go r.workerDF(wi)
-		}
+		go r.workerCohort(wi)
 	}
 	r.inject(ctx, queries)
 	select {

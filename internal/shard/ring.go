@@ -5,7 +5,6 @@ import (
 
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/rng"
-	"ridgewalker/internal/sampling"
 	"ridgewalker/internal/walk"
 )
 
@@ -29,7 +28,7 @@ type walkerRec struct {
 // the atomic store/load pair orders the record copy against the position
 // publish, which is all the synchronization a SPSC hand-off needs. A
 // full ring reports failure instead of blocking: migration backpressure
-// is handled losslessly by the caller (see run.eject / run.advanceRec).
+// is handled losslessly by the caller (see run.ejectLane).
 type spscRing struct {
 	buf  []walkerRec
 	mask uint64
@@ -87,22 +86,14 @@ type workerState struct {
 	// dirty[c] marks consumers this worker pushed to since its last
 	// doorbell flush.
 	dirty []bool
-	// rec is the depth-first worker's walker scratch slot.
-	rec walkerRec
 
 	// rr rotates this producer's hand-offs across the destination
 	// shard's workers (see mesh.route).
 	rr uint32
 
-	// tv/mem are the depth-first worker's tiered-store view and row
-	// scratch (nil/zero when the engine is untiered); cohort mode routes
-	// tiering through the cohort's own lanes instead.
-	tv  *graph.TierView
-	mem sampling.RowView
-
-	// Cohort-mode state (nil/empty in depth-first mode): lane-backed
-	// records, the free-lane stack, per-lane destination shards computed
-	// by the depart callback, and the per-pass stalled-ejection list.
+	// The worker's cohort and its lane-backed records, the free-lane
+	// stack, per-lane destination shards computed by the depart callback,
+	// and the per-pass stalled-ejection list.
 	cohort    *walk.Cohort
 	recs      []walkerRec
 	freeLanes []int32
@@ -212,46 +203,27 @@ func newMesh(e *Engine) *mesh {
 	for c := 0; c < W; c++ {
 		m.free[c] = newRing(cfg.MaxInflight)
 		m.bells[c] = make(chan struct{}, 1)
+		// NewEngine validated the cohort size and sampler stagedness.
+		cohort, err := walk.NewCohort(e.g, e.wcfg, e.sampler, cfg.Cohort)
+		if err != nil {
+			panic("shard: mesh cohort: " + err.Error())
+		}
+		if cfg.Tiered != nil {
+			cohort.SetTiered(cfg.Tiered)
+		}
+		if cfg.Snapshot != nil {
+			cohort.SetSnapshot(cfg.Snapshot)
+		}
 		ws := &workerState{
-			shardID: c / perShard,
-			dirty:   make([]bool, W),
+			shardID:   c / perShard,
+			dirty:     make([]bool, W),
+			cohort:    cohort,
+			recs:      make([]walkerRec, cfg.Cohort),
+			freeLanes: make([]int32, 0, cfg.Cohort),
+			dst:       make([]int32, cfg.Cohort),
+			stalled:   make([]int32, 0, cfg.Cohort),
 		}
-		if cfg.Tiered != nil && cfg.Cohort == 0 {
-			ws.tv = graph.NewTierView(cfg.Tiered)
-			// Narrow the view to what this workload's sampler reads (the
-			// engine validated e.wcfg, so TierAccess cannot fail here).
-			if needRow, needW, err := walk.TierAccess(e.g, e.wcfg); err == nil {
-				ws.tv.SetAccess(needRow, needW)
-			}
-		}
-		if cfg.Snapshot != nil && cfg.Cohort == 0 {
-			// Depth-first workers consult the epoch overlay through their
-			// staged row view (AdvanceView checks mem.Snap before the base
-			// row); cohort workers get it via SetSnapshot below.
-			ws.mem.Snap = cfg.Snapshot
-		}
-		if cfg.Cohort > 0 {
-			// NewEngine validated the cohort size and sampler stagedness.
-			cohort, err := walk.NewCohort(e.g, e.wcfg, e.sampler, cfg.Cohort)
-			if err != nil {
-				panic("shard: mesh cohort: " + err.Error())
-			}
-			if cfg.Layout != nil {
-				cohort.SetLayout(cfg.Layout)
-			}
-			if cfg.Tiered != nil {
-				cohort.SetTiered(cfg.Tiered)
-			}
-			if cfg.Snapshot != nil {
-				cohort.SetSnapshot(cfg.Snapshot)
-			}
-			ws.cohort = cohort
-			ws.recs = make([]walkerRec, cfg.Cohort)
-			ws.freeLanes = make([]int32, 0, cfg.Cohort)
-			ws.dst = make([]int32, cfg.Cohort)
-			ws.stalled = make([]int32, 0, cfg.Cohort)
-			m.bindCohortCallbacks(c, ws)
-		}
+		m.bindCohortCallbacks(c, ws)
 		m.workers[c] = ws
 	}
 	return m
@@ -315,14 +287,12 @@ func (m *mesh) acquire(r *run) {
 		for i := range ws.dirty {
 			ws.dirty[i] = false
 		}
-		if ws.cohort != nil {
-			ws.cohort.Reset()
-			ws.freeLanes = ws.freeLanes[:0]
-			for lane := len(ws.recs) - 1; lane >= 0; lane-- {
-				ws.freeLanes = append(ws.freeLanes, int32(lane))
-			}
-			ws.stalled = ws.stalled[:0]
+		ws.cohort.Reset()
+		ws.freeLanes = ws.freeLanes[:0]
+		for lane := len(ws.recs) - 1; lane >= 0; lane-- {
+			ws.freeLanes = append(ws.freeLanes, int32(lane))
 		}
+		ws.stalled = ws.stalled[:0]
 	}
 }
 

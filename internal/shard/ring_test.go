@@ -110,7 +110,7 @@ func TestMeshRouteSpreadsAcrossPoolWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 8}) // perShard = 4
+	e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 8, Cohort: 4}) // perShard = 4
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@ import (
 
 // TestEngineSnapshotEquivalence pins the sharded fabric's dynamic-graph
 // contract: runs over (base + overlay snapshot) are byte-identical to the
-// golden engine over a cold fold of the final graph, in both depth-first
-// and cohort stepping, and RunStats carries the pinned epoch and overlay
-// size.
+// golden engine over a cold fold of the final graph at two cohort widths,
+// and RunStats carries the pinned epoch and overlay size.
 func TestEngineSnapshotEquivalence(t *testing.T) {
 	g, err := graph.GenerateRMAT(graph.Graph500(9, 8, 5))
 	if err != nil {
@@ -51,7 +50,7 @@ func TestEngineSnapshotEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, ecfg := range []EngineConfig{
-				{Workers: 4, Snapshot: snap},
+				{Workers: 4, Cohort: 1, Snapshot: snap},
 				{Workers: 4, Cohort: 8, Snapshot: snap},
 			} {
 				p, err := Partition(g, 3)
@@ -77,7 +76,7 @@ func TestEngineSnapshotEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 2})
+			e, err := NewEngine(g, p, cfg, EngineConfig{Workers: 2, Cohort: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +97,7 @@ func TestEngineSnapshotEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(other, p, walk.DefaultConfig(walk.URW), EngineConfig{Snapshot: snap}); err == nil {
+	if _, err := NewEngine(other, p, walk.DefaultConfig(walk.URW), EngineConfig{Cohort: 8, Snapshot: snap}); err == nil {
 		t.Fatal("snapshot over a different graph accepted")
 	}
 }

@@ -53,7 +53,6 @@ const (
 // preallocated buffers.
 type Cohort struct {
 	g       *graph.CSR
-	lay     *graph.Layout // optional degree-aware row source
 	sampler sampling.StagedSampler
 	cfg     Config
 	kind    sampling.Kind
@@ -87,9 +86,7 @@ type Cohort struct {
 
 	n int // lanes in use; live lanes are always the prefix [0, n)
 
-	// arenaCol caches the layout's hub arena backing store (or, under a
-	// tiered store, the hot arena — the Move stage indexes both the same
-	// way).
+	// arenaCol caches the tiered store's hot arena.
 	arenaCol []graph.VertexID
 
 	// Tiered-store state (SetTiered). The Row Access stage decodes cold rows
@@ -132,8 +129,8 @@ type Cohort struct {
 	cur, prev []graph.VertexID
 	hasPrev   []bool
 	step      []int32
-	lo, hi    []int64          // gathered row bounds in Col or the hub arena
-	arena     []bool           // gathered row lives in the hub arena
+	lo, hi    []int64          // gathered row bounds in Col or the hot arena
+	arena     []bool           // gathered row lives in the hot arena
 	idx       []int32          // Sample's accepted slot within the row
 	nxt       []graph.VertexID // Column Access's fetched neighbor
 	// cand is the resume state of a decision parked mid-rejection; it is
@@ -210,31 +207,15 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 }
 
 // flat reports whether lanes read rows straight from the CSR: no tiered
-// store, layout or epoch snapshot. Only flat lanes run sampleRejection.
-func (c *Cohort) flat() bool { return c.tiered == nil && c.lay == nil && c.snap == nil }
-
-// SetLayout makes the Row Access stage serve neighbor rows from a
-// degree-aware graph.Layout instead of the raw CSR — hub rows come from
-// the layout's compact cache-resident arena. The layout must be built
-// over the cohort's graph; because a Layout is content-identical to its
-// CSR, trajectories are unaffected. Call before the first Admit.
-func (c *Cohort) SetLayout(l *graph.Layout) {
-	c.lay = l
-	if l != nil {
-		c.arenaCol = l.Arena()
-	} else {
-		c.arenaCol = nil
-	}
-}
+// store or epoch snapshot. Only flat lanes run sampleRejection.
+func (c *Cohort) flat() bool { return c.tiered == nil && c.snap == nil }
 
 // SetTiered routes the Row Access stage through a tiered graph store: hot
-// rows come from the store's uncompressed arena exactly like a Layout's
-// hub rows, cold rows are decoded row-at-a-time into per-lane scratch,
-// and the Sample stage serves the sampler a staged RowView — Sample and
-// Move never see which tier a row came from. Because a tiered store is
-// content-identical to its CSR, trajectories are unaffected. SetTiered
-// supersedes SetLayout (the layout is a rearrangement of the flat store
-// the tiered store replaces). Call before the first Admit; nil restores
+// rows come from the store's uncompressed arena, cold rows are decoded
+// row-at-a-time into per-lane scratch, and the Sample stage serves the
+// sampler a staged RowView — Sample and Move never see which tier a row
+// came from. Because a tiered store is content-identical to its CSR,
+// trajectories are unaffected. Call before the first Admit; nil restores
 // direct CSR reads.
 func (c *Cohort) SetTiered(t *graph.Tiered) {
 	c.tiered = t
@@ -245,7 +226,6 @@ func (c *Cohort) SetTiered(t *graph.Tiered) {
 		c.needW = false
 		return
 	}
-	c.lay = nil
 	c.tview = graph.NewTierView(t)
 	c.arenaCol = t.HotArena()
 	c.hotW = t.HotWeights()
@@ -263,7 +243,7 @@ func (c *Cohort) SetTiered(t *graph.Tiered) {
 // graph: lanes on vertices dirty for the snapshot's epoch gather the
 // merged overlay row, and second-order probes route through the
 // snapshot. The cohort's graph must be snap.Graph(). Composes with
-// SetLayout and SetTiered (clean rows keep their fast paths). Call
+// SetTiered (clean rows keep their fast paths). Call
 // before the first Admit; nil restores base-only reads.
 func (c *Cohort) SetSnapshot(snap *graph.Snapshot) {
 	c.snap = snap
@@ -483,7 +463,7 @@ func (c *Cohort) rowAccess() {
 	g := c.g
 	if c.tiered != nil {
 		// Tiered variant: hot rows resolve to the uncompressed hot arena
-		// (one locator load, like the Layout path); cold rows decode into
+		// (one locator load); cold rows decode into
 		// the lane's scratch, which persists across passes — a lane parked
 		// mid-rejection re-enters Sample without re-decoding.
 		for i := 0; i < c.n; i++ {
@@ -530,38 +510,6 @@ func (c *Cohort) rowAccess() {
 			}
 			if c.tieredAlias != nil {
 				c.touch ^= c.tieredAlias.TouchRow(v)
-			}
-		}
-	} else if c.lay != nil {
-		// Layout variant: one packed-locator load replaces the two
-		// row-pointer loads, and hub rows resolve to the compact arena.
-		for i := 0; i < c.n; i++ {
-			if c.phase[i] != phaseRow {
-				continue
-			}
-			if c.snap != nil && c.overlayRow(i, c.cur[i]) {
-				continue
-			}
-			lo, deg, inArena := c.lay.Locate(c.cur[i])
-			if deg == 0 {
-				c.fate[i] = fateRetire // zero out-degree: immediate termination
-				continue
-			}
-			hi := lo + int64(deg)
-			c.lo[i], c.hi[i] = lo, hi
-			c.arena[i] = inArena
-			base := g.Col
-			if inArena {
-				base = c.arenaCol
-			}
-			c.touch ^= uint64(base[lo]) ^ uint64(base[hi-1])
-			if c.scanRow {
-				for off := lo + 16; off < hi && off <= lo+112; off += 16 {
-					c.touch ^= uint64(base[off])
-				}
-			}
-			if c.aliasStore != nil {
-				c.touch ^= c.aliasStore.TouchRow(c.cur[i])
 			}
 		}
 	} else {
@@ -764,8 +712,8 @@ func (c *Cohort) sampleStaged() {
 					m.Wts = c.hotW[c.lo[i]:c.hi[i]]
 				}
 			default:
-				// Flat or layout store, clean lane under a snapshot: stage
-				// the base row by vertex (lo/hi may be arena offsets).
+				// Flat store, clean lane under a snapshot: stage the base
+				// row by vertex.
 				m.Row = g.Neighbors(c.cur[i])
 				m.Wts = nil
 				if g.Weighted() {
@@ -797,7 +745,7 @@ func (c *Cohort) sampleStaged() {
 // body, so the misses of every moving lane overlap; the other row sources
 // resolve which array the lane's row lives in first.
 func (c *Cohort) columnAccess() {
-	if c.tiered == nil && c.lay == nil && c.snap == nil {
+	if c.flat() {
 		n := c.n
 		fate, los, idx, nxt, col := c.fate[:n], c.lo[:n], c.idx[:n], c.nxt[:n], c.g.Col
 		for i := 0; i < n; i++ {

@@ -106,13 +106,6 @@ func (p *Pipeline) resetFree() {
 	p.freeTop = len(p.freeIDs)
 }
 
-// CohortSize returns the pipeline's lane count.
-func (p *Pipeline) CohortSize() int { return p.cohort.Cap() }
-
-// SetLayout routes the cohort's Row Access stage through a degree-aware
-// graph.Layout (see Cohort.SetLayout). Call before the first Run.
-func (p *Pipeline) SetLayout(l *graph.Layout) { p.cohort.SetLayout(l) }
-
 // SetTiered routes the cohort's Row Access stage through a tiered store
 // (see Cohort.SetTiered). Call before the first Run.
 func (p *Pipeline) SetTiered(t *graph.Tiered) { p.cohort.SetTiered(t) }

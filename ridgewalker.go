@@ -8,16 +8,17 @@
 //     binary serialization, and SNAP edge-list parsing.
 //   - A software GRW engine (Walk, WalkParallel) implementing URW, PPR,
 //     DeepWalk, Node2Vec and MetaPath with the paper's sampling algorithms
-//     (uniform, alias, rejection, reservoir — Table I), plus a sharded
-//     variant (WalkSharded, backend "cpu-sharded") that partitions the
-//     graph into edge-balanced shards with per-shard worker pools and
-//     batched walker migration across partition boundaries, and a
+//     (uniform, alias, rejection, reservoir — Table I), plus a
 //     step-interleaved variant (WalkPipelined, backend "cpu-pipelined")
 //     that decomposes each hop into batched Row/Sample/Column/Move stages
 //     over cohorts of in-flight walkers so CSR row fetches overlap
 //     sampling — the software analogue of the paper's perfectly
-//     pipelined datapath. Both compose (Shards with Cohort) and both are
-//     byte-identical to Walk for the same seed.
+//     pipelined datapath — and a sharded variant (WalkSharded, backend
+//     "cpu-sharded") that partitions the graph into edge-balanced shards
+//     whose workers run those cohorts, migrating walkers across
+//     partition boundaries. The sharded engine runs only when named: the
+//     planner never picks it. All are byte-identical to Walk for the same
+//     seed.
 //   - A cycle-level simulation of the RidgeWalker accelerator (Simulate):
 //     asynchronous Row-Access/Sampling/Column-Access pipelines over an
 //     HBM/DDR channel model, the data-aware task router, and the
@@ -253,10 +254,10 @@ func WalkParallel(g *Graph, queries []Query, cfg WalkConfig, workers int) (*Resu
 }
 
 // WalkSharded runs the partitioned software engine: the graph is split
-// into shards edge-balanced partitions, each owning a worker pool, and
-// walkers migrate between shards through batched mailbox hand-offs when a
-// hop crosses a partition boundary. The result is byte-identical to Walk
-// for the same seed at any shard count. It is a thin wrapper over the
+// into shards edge-balanced partitions, each owning a pool of
+// cohort-stepping workers, and walkers migrate between shards through
+// SPSC rings when a hop crosses a partition boundary. The result is
+// byte-identical to Walk for the same seed at any shard count. It is a thin wrapper over the
 // "cpu-sharded" execution backend; shards may be 0 for the backend's
 // default.
 func WalkSharded(g *Graph, queries []Query, cfg WalkConfig, shards int) (*Result, error) {

@@ -17,6 +17,7 @@ import (
 	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/plan"
+	"ridgewalker/internal/sampling"
 	"ridgewalker/internal/walk"
 )
 
@@ -36,21 +37,10 @@ type ServiceConfig struct {
 	// reused path buffer and RNG stream, so the serving hot path allocates
 	// nothing per step. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Shards sets the cpu-sharded backend's graph partition count (each
-	// shard owns a worker pool; walkers migrate on boundary crossings).
-	// The cpu-pipelined backend also honors it, composing the cohort
-	// pipeline with sharded execution. 0 means a backend-chosen default;
-	// other backends ignore it.
-	Shards int
-	// Cohort sets the cpu-pipelined backend's in-flight walker count per
-	// worker (the width of the batched Row/Sample/Column/Move stages). 0
-	// means the backend default; other backends ignore it.
+	// Cohort sets the cohort backends' in-flight walker count per worker
+	// (the width of the batched Row/Sample/Column/Move stages). 0 means
+	// the backend default; other backends ignore it.
 	Cohort int
-	// HubCacheBytes, when positive, sizes the cpu-pipelined backend's
-	// degree-aware hub arena (the compact cache-resident copy of the
-	// highest-degree rows served to the cohort Row Access stage). 0 leaves it
-	// off; other backends ignore it.
-	HubCacheBytes int64
 	// MemoryBudgetBytes, when nonzero, serves the CPU backends through
 	// tiered memory: hub rows uncompressed in a budget-bounded hot arena,
 	// the cold tail delta-varint compressed, with the sampler store split
@@ -182,6 +172,13 @@ type Service struct {
 	// s.mu (the pointer is swapped when CompactGraph replaces the base
 	// graph); the planner itself is internally synchronized.
 	planner *plan.Planner
+	// pins borrows each planned class's sampler store on the serving base
+	// for the planner's lifetime. While a class calibrates, its probes are
+	// the store's only borrowers; without a pin the store is evicted when
+	// the sweep ends and the class's first session rebuilds it — a second
+	// O(E) alias build, and its garbage, at every service start. Guarded
+	// by s.mu; released with the planner (CompactGraph) and at Close.
+	pins map[plan.Class]*sampling.SamplerRef
 	// runs tells a batch's engine run whether it had the machine to
 	// itself; only those are fed to the planner.
 	runs runGauge
@@ -593,6 +590,7 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 	s.flushCond = sync.NewCond(&s.flushMu)
 	if cfg.Backend == "auto" {
 		s.planner = s.newPlanner(g)
+		s.pins = map[plan.Class]*sampling.SamplerRef{}
 		// Service-start calibration: warm the always-valid URW class now
 		// so the first request doesn't pay the micro-bench. Other classes
 		// calibrate on first use, cached per class. Failure is not fatal —
@@ -621,9 +619,7 @@ func (s *Service) newPlanner(base *graph.CSR) *plan.Planner {
 	}
 	return exec.NewPlanner(base, exec.Config{
 		Workers:           s.cfg.Workers,
-		Shards:            s.cfg.Shards,
 		Cohort:            s.cfg.Cohort,
-		HubCacheBytes:     s.cfg.HubCacheBytes,
 		MemoryBudgetBytes: s.cfg.MemoryBudgetBytes,
 		Plan:              &opts,
 	})
@@ -658,6 +654,7 @@ func (s *Service) resolvePlan(cfg WalkConfig) (pl plan.Plan, planned bool, suffi
 	// Contained: a panic-mode fault during lazy calibration (sampler
 	// build, probe open) must fail this submission, not crash the caller.
 	cerr := fault.Contain("plan-resolve", func() error {
+		s.pinSampler(p, cfg)
 		var perr error
 		pl, perr = p.PlanFor(cfg)
 		return perr
@@ -666,6 +663,41 @@ func (s *Service) resolvePlan(cfg WalkConfig) (pl plan.Plan, planned bool, suffi
 		return plan.Plan{}, false, "", cerr
 	}
 	return pl, true, "|" + pl.Fingerprint(), nil
+}
+
+// pinSampler borrows cfg's class sampler store for planner p's lifetime
+// (see Service.pins), once per class. A budgeted service pins nothing:
+// its sessions borrow tiered stores under other keys. A build error is
+// left to the session open, which reports it.
+func (s *Service) pinSampler(p *plan.Planner, cfg WalkConfig) {
+	base, _, _ := s.vg.Serving()
+	cls := plan.ClassOf(base, cfg)
+	s.mu.Lock()
+	_, pinned := s.pins[cls]
+	s.mu.Unlock()
+	if pinned || s.cfg.MemoryBudgetBytes != 0 {
+		return
+	}
+	ref, err := walk.AcquireSampler(base, cfg)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, pinned := s.pins[cls]; pinned || s.closed || s.planner != p {
+		// Raced another pin, Close, or a compaction that replaced the base.
+		ref.Release()
+		return
+	}
+	s.pins[cls] = ref
+}
+
+// releasePinsLocked drops every class pin. Called with s.mu held.
+func (s *Service) releasePinsLocked() {
+	for _, ref := range s.pins {
+		ref.Release()
+	}
+	clear(s.pins)
 }
 
 // classKey is the circuit breaker's key for cfg's query class —
@@ -714,7 +746,7 @@ func (s *Service) observePlan(cfg WalkConfig, queries int, steps int64, elapsed 
 }
 
 // PlanStatus reports the auto backend's per-class planning state: the
-// resolved plan (chosen backend, cohort, shards, memory placement),
+// resolved plan (chosen backend, cohort, memory placement),
 // predicted vs observed steps/sec, and how often drift forced a
 // re-plan. nil when the service runs a manually pinned backend.
 func (s *Service) PlanStatus() []PlanClassStatus {
@@ -836,9 +868,7 @@ func (s *Service) acquireSession(key string, grp *batchGroup) (*sessionEntry, er
 			Walk:                grp.cfg,
 			Platform:            s.cfg.Platform,
 			Workers:             s.cfg.Workers,
-			Shards:              s.cfg.Shards,
 			Cohort:              s.cfg.Cohort,
-			HubCacheBytes:       s.cfg.HubCacheBytes,
 			MemoryBudgetBytes:   s.cfg.MemoryBudgetBytes,
 			Snapshot:            grp.snap,
 			DisableAsync:        s.cfg.DisableAsync,
@@ -850,9 +880,7 @@ func (s *Service) acquireSession(key string, grp *batchGroup) (*sessionEntry, er
 			// resolved shape — never "auto" recursively, which would
 			// recalibrate per session open.
 			backend = grp.plan.Backend
-			ec.Shards = grp.plan.Shards
 			ec.Cohort = grp.plan.Cohort
-			ec.HubCacheBytes = grp.plan.HubCacheBytes
 			ec.MemoryBudgetBytes = grp.plan.MemoryBudgetBytes
 		}
 		// Contained: a panic during Open (e.g. an injected sampler-build
@@ -1712,8 +1740,9 @@ func (s *Service) CompactGraph() *Graph {
 		// Compaction replaces the base CSR, so the planner's statistics,
 		// probe subgraph, and calibration cache all describe a dead graph:
 		// rebuild over the new base. Classes recalibrate lazily on their
-		// next request.
+		// next request, and re-pin their stores on the new base.
 		s.planner = s.newPlanner(g)
+		s.releasePinsLocked()
 	}
 	s.mu.Unlock()
 	// Budget handoff: the admission controller's EWMA service rate (and
@@ -1844,5 +1873,6 @@ func (s *Service) Close() error {
 		}
 	}
 	s.sessions = map[string]*sessionEntry{}
+	s.releasePinsLocked()
 	return firstErr
 }

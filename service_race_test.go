@@ -120,12 +120,14 @@ func TestServiceEvictionChurnConcurrent(t *testing.T) {
 
 // TestServiceShardedBackendConcurrent runs the same churn against the
 // cpu-sharded backend, so session eviction also exercises the shard
-// engine's per-run goroutine lifecycle under -race.
+// engine's per-run goroutine lifecycle under -race. A Service takes the
+// backend's default shard count (GOMAXPROCS, capped at 8); the cohort
+// width is pinned.
 func TestServiceShardedBackendConcurrent(t *testing.T) {
 	g := serviceTestGraph(t)
 	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
 		Backend:     "cpu-sharded",
-		Shards:      3,
+		Cohort:      16,
 		MaxSessions: 2,
 	})
 	if err != nil {

@@ -143,103 +143,110 @@ func TestServiceMutationRejectsBadEdges(t *testing.T) {
 // one epoch's view, verified against a per-epoch golden computed after
 // the fact — and nothing may deadlock, leak, or tear.
 func TestServiceMutateWhileServingRace(t *testing.T) {
-	g := serviceTestGraph(t)
-	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
-		Backend: "cpu",
-		Workers: 2,
-		Linger:  200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ctx := context.Background()
-	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.URW)
-	cfg.WalkLength = 10
-	cfg.Seed = 5
-	qs, err := ridgewalker.RandomQueries(g, cfg, 40, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The auto backend adds the planner's per-class sampler pins, which
+	// submitters take while compactions release them.
+	for _, backend := range []string{"cpu", "auto"} {
+		t.Run(backend, func(t *testing.T) {
+			g := serviceTestGraph(t)
+			svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
+				Backend: backend,
+				Workers: 2,
+				Linger:  200 * time.Microsecond,
+				Plan:    &ridgewalker.PlanOptions{}, // auto: stats-only, no probes
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ctx := context.Background()
+			cfg := ridgewalker.DefaultWalkConfig(ridgewalker.URW)
+			cfg.WalkLength = 10
+			cfg.Seed = 5
+			qs, err := ridgewalker.RandomQueries(g, cfg, 40, 31)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// The mutator applies a deterministic schedule; goldens for every
-	// epoch's merged view are reconstructed afterwards from the same
-	// schedule, so each reply can be matched to some consistent epoch.
-	ins, _ := serviceMutations(g)
-	rounds := raceIterations(t)
+			// The mutator applies a deterministic schedule; goldens for every
+			// epoch's merged view are reconstructed afterwards from the same
+			// schedule, so each reply can be matched to some consistent epoch.
+			ins, _ := serviceMutations(g)
+			rounds := raceIterations(t)
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, 16)
-	results := make(chan [][]ridgewalker.VertexID, 4*4*rounds)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < 4*rounds; n++ {
-				got, err := svc.Submit(ctx, cfg, qs)
-				if err != nil {
-					errCh <- err
-					return
+			var wg sync.WaitGroup
+			errCh := make(chan error, 16)
+			results := make(chan [][]ridgewalker.VertexID, 4*4*rounds)
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; n < 4*rounds; n++ {
+						got, err := svc.Submit(ctx, cfg, qs)
+						if err != nil {
+							errCh <- err
+							return
+						}
+						results <- got.Paths
+					}
+				}()
+			}
+			for r := 0; r < rounds; r++ {
+				batch := ins[(r*4)%len(ins) : (r*4)%len(ins)+4]
+				if err := svc.InsertEdges(batch); err != nil {
+					t.Fatal(err)
 				}
-				results <- got.Paths
+				if r%3 == 2 {
+					if err := svc.DeleteEdges(batch[:2]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if r%5 == 4 {
+					svc.CompactGraph()
+				}
 			}
-		}()
-	}
-	for r := 0; r < rounds; r++ {
-		batch := ins[(r*4)%len(ins) : (r*4)%len(ins)+4]
-		if err := svc.InsertEdges(batch); err != nil {
-			t.Fatal(err)
-		}
-		if r%3 == 2 {
-			if err := svc.DeleteEdges(batch[:2]); err != nil {
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
 				t.Fatal(err)
 			}
-		}
-		if r%5 == 4 {
-			svc.CompactGraph()
-		}
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	close(results)
+			close(results)
 
-	// Rebuild the golden for every epoch the schedule produced and check
-	// each captured reply matches exactly one of them.
-	goldens := map[string]bool{}
-	record := func(g2 *ridgewalker.Graph) {
-		res, err := ridgewalker.Walk(g2, qs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldens[pathsKey(res.Paths)] = true
-	}
-	replay := ridgewalker.NewVersionedGraph(g)
-	record(replay.Compact()) // epoch 0 == base
-	for r := 0; r < rounds; r++ {
-		batch := ins[(r*4)%len(ins) : (r*4)%len(ins)+4]
-		if err := replay.InsertEdges(batch); err != nil {
-			t.Fatal(err)
-		}
-		record(replay.Compact())
-		if r%3 == 2 {
-			if err := replay.DeleteEdges(batch[:2]); err != nil {
-				t.Fatal(err)
+			// Rebuild the golden for every epoch the schedule produced and check
+			// each captured reply matches exactly one of them.
+			goldens := map[string]bool{}
+			record := func(g2 *ridgewalker.Graph) {
+				res, err := ridgewalker.Walk(g2, qs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				goldens[pathsKey(res.Paths)] = true
 			}
-			record(replay.Compact())
-		}
-	}
-	checked := 0
-	for paths := range results {
-		if !goldens[pathsKey(paths)] {
-			t.Fatal("a reply matches no epoch's consistent view — torn snapshot served")
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("stress loop captured no results")
+			replay := ridgewalker.NewVersionedGraph(g)
+			record(replay.Compact()) // epoch 0 == base
+			for r := 0; r < rounds; r++ {
+				batch := ins[(r*4)%len(ins) : (r*4)%len(ins)+4]
+				if err := replay.InsertEdges(batch); err != nil {
+					t.Fatal(err)
+				}
+				record(replay.Compact())
+				if r%3 == 2 {
+					if err := replay.DeleteEdges(batch[:2]); err != nil {
+						t.Fatal(err)
+					}
+					record(replay.Compact())
+				}
+			}
+			checked := 0
+			for paths := range results {
+				if !goldens[pathsKey(paths)] {
+					t.Fatal("a reply matches no epoch's consistent view — torn snapshot served")
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatal("stress loop captured no results")
+			}
+		})
 	}
 }
 
@@ -313,5 +320,58 @@ func TestServiceEpochSwitchKeepsBaseSampler(t *testing.T) {
 	svc.CompactGraph()
 	if n := reg.Refs(g, spec); n != 0 {
 		t.Fatalf("after compaction the old base's alias store still has %d references", n)
+	}
+}
+
+// TestServicePlannedSamplerPinned: under the auto backend a class's
+// sampler store is borrowed from its first plan resolution on, so the
+// calibration probes' build is the one the first session serves from
+// instead of being evicted between them; the borrow goes with the
+// planner at compaction and with the service at Close.
+func TestServicePlannedSamplerPinned(t *testing.T) {
+	g := serviceTestGraph(t)
+	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
+		Workers: 2,
+		Plan:    &ridgewalker.PlanOptions{Calibrate: true, Queries: 64, WalkLength: 8, Repeat: 1, SubgraphEdges: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.DeepWalk)
+	cfg.WalkLength = 18
+	qs, err := ridgewalker.RandomQueries(g, cfg, 64, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := walk.SamplerSpec(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := sampling.DefaultRegistry()
+	if _, err := svc.Submit(context.Background(), cfg, qs); err != nil {
+		t.Fatal(err)
+	}
+	// The class pin plus the served session.
+	if n := reg.Refs(g, spec); n != 2 {
+		t.Fatalf("base alias store has %d references after the first request, want 2 (pin + session)", n)
+	}
+	ins, _ := serviceMutations(g)
+	if err := svc.InsertEdges(ins); err != nil {
+		t.Fatal(err)
+	}
+	compacted := svc.CompactGraph()
+	if n := reg.Refs(g, spec); n != 0 {
+		t.Fatalf("after compaction the old base's alias store still has %d references", n)
+	}
+	if _, err := svc.Submit(context.Background(), cfg, qs); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Refs(compacted, spec); n != 2 {
+		t.Fatalf("new base's alias store has %d references, want 2 (pin + session)", n)
+	}
+	svc.Close()
+	if n := reg.Refs(compacted, spec); n != 0 {
+		t.Fatalf("after Close the alias store still has %d references", n)
 	}
 }
