@@ -312,7 +312,6 @@ func TestEngineTinyInflightLiveness(t *testing.T) {
 // migrate into another shard's cohort with HasPrev set, so Admit must
 // load their previous row for the Prev Access probe; the mirrored
 // (p, q) = (0.5, 2) cell takes that probe on the other side of the coin.
-// The labelled graph adds MetaPath.
 func TestEngineCohortStepping(t *testing.T) {
 	weighted, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
 	if err != nil {
@@ -323,12 +322,6 @@ func TestEngineCohortStepping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labelled, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	labelled.AttachWeights()
-	labelled.AttachLabels(3)
 	for _, tc := range []struct {
 		name string
 		g    *graph.CSR
@@ -341,7 +334,6 @@ func TestEngineCohortStepping(t *testing.T) {
 		{"Node2Vec", weighted, walk.Node2Vec, 0, 0},
 		{"Node2Vec-unweighted", unweighted, walk.Node2Vec, 0, 0},
 		{"Node2Vec-unweighted-p0.5-q2", unweighted, walk.Node2Vec, 0.5, 2},
-		{"MetaPath", labelled, walk.MetaPath, 0, 0},
 	} {
 		g, alg := tc.g, tc.alg
 		t.Run(tc.name, func(t *testing.T) {
@@ -359,11 +351,10 @@ func TestEngineCohortStepping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{1, 2, 3, 4, 7} {
+			for _, k := range []int{1, 3, 7} {
 				for _, ecfg := range []EngineConfig{
 					{Cohort: 1},
 					{Cohort: 8, Workers: 1, MaxInflight: 2},
-					{Cohort: 16},
 					{Cohort: 64, Workers: 16, MaxInflight: 64},
 				} {
 					p, err := Partition(g, k)
@@ -494,6 +485,54 @@ func TestEngineSingleShardDegenerate(t *testing.T) {
 		if stats.Migrations != 0 || stats.HandoffBatches != 0 {
 			t.Fatalf("cfg=%+v: migration traffic %+v on a single shard", ecfg, stats)
 		}
+	}
+}
+
+// TestEngineLayoutEquivalenceMatrix is the all-algorithm acceptance
+// matrix: every algorithm in walk.Algorithms × shards {2, 4} × cohort
+// {1, 16}, over one weighted, labelled RMAT graph whose hub rows are
+// read from the flat CSR like every other row, must stay byte-identical
+// to the sequential golden engine.
+func TestEngineLayoutEquivalenceMatrix(t *testing.T) {
+	g, err := graph.GenerateRMAT(graph.Graph500(10, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AttachWeights()
+	g.AttachLabels(3)
+	for _, alg := range walk.Algorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			cfg := walk.DefaultConfig(alg)
+			cfg.WalkLength = 25
+			cfg.Seed = 13
+			qs, err := walk.RandomQueries(g, cfg, 400, 19)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := walk.Run(g, qs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{2, 4} {
+				for _, cohort := range []int{1, 16} {
+					p, err := Partition(g, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e, err := NewEngine(g, p, cfg, EngineConfig{Cohort: cohort})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, _ := runEngine(t, e, qs)
+					if got.Steps != want.Steps {
+						t.Fatalf("k=%d cohort=%d: steps %d, want %d", k, cohort, got.Steps, want.Steps)
+					}
+					if !reflect.DeepEqual(got.Paths, want.Paths) {
+						t.Fatalf("k=%d cohort=%d: sharded run differs from golden engine", k, cohort)
+					}
+				}
+			}
+		})
 	}
 }
 
