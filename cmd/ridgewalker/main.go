@@ -82,7 +82,7 @@ func run() error {
 	mutIns := flag.Int("mutate-insert", 0, "serve mode: insert this many random edges between serving rounds (versioned-graph serving)")
 	mutDel := flag.Int("mutate-delete", 0, "serve mode: then delete this many of the inserted edges")
 	mutCompact := flag.Bool("mutate-compact", false, "serve mode: compact the mutated graph and serve a final round")
-	explainPlan := flag.Bool("explain-plan", false, "auto backend: print the planner's decision record (stats, probed candidates, chosen plan)")
+	explainPlan := flag.Bool("explain-plan", false, "auto backend: print the planner's decision record (class, plan, reason)")
 	chaos := flag.String("chaos", "", "serve mode: arm deterministic fault injection, e.g. 'batch-exec=panic:every=3,cold-decode=error:after=5' (comma-separated point=mode[:every=N][:after=N][:limit=N][:tag=backend])")
 	flag.Parse()
 
@@ -131,10 +131,9 @@ func run() error {
 		fmt.Println("uncompressed arena, the cold tail is delta-varint compressed, and the")
 		fmt.Println("per-tier accounting (hot arena, compressed cold arena, locators,")
 		fmt.Println("per-worker decode scratch) is reported after each run.")
-		fmt.Println("\n[planned] resolves its engine and shape (backend, cohort) per")
-		fmt.Println("workload from graph statistics and a calibration micro-bench; the")
-		fmt.Println("resolved plan — chosen config, predicted vs observed steps/sec — is")
-		fmt.Println("reported after each run (add -explain-plan for the full decision record).")
+		fmt.Println("\n[planned] runs cpu-pipelined at -cohort (default 256); a Service demotes a")
+		fmt.Println("faulting query class to cpu until a health check restores it. The plan and")
+		fmt.Println("its observed steps/sec are reported after each run (-explain-plan: why).")
 		return nil
 	}
 
@@ -261,12 +260,6 @@ func run() error {
 		DisableAsync:        *noAsync,
 		DisableDynamicSched: *noSched,
 	}
-	if backend == "auto" {
-		// A one-shot run amortizes calibration over a single batch, but the
-		// probes are microseconds-to-milliseconds against the run itself —
-		// and without them "auto" would be stats-only guesswork.
-		bcfg.Plan = &ridgewalker.PlanOptions{Calibrate: true}
-	}
 	if *explainPlan {
 		rec, err := ridgewalker.ExplainPlan(g, bcfg)
 		if err != nil {
@@ -304,8 +297,8 @@ func run() error {
 			float64(res.Steps)/el.Seconds()/1e6)
 	}
 	if pr := res.Plan; pr != nil {
-		fmt.Printf("plan: %s  predicted %.3g steps/s, observed %.3g steps/s (%s)\n",
-			planShape(pr), pr.PredictedStepsPerSec, pr.ObservedStepsPerSec, pr.Source)
+		fmt.Printf("plan: %s  observed %.3g steps/s (%s)\n",
+			planShape(pr), pr.ObservedStepsPerSec, pr.Source)
 	}
 	if m := res.Memory; m != nil {
 		fmt.Printf("tiered memory: %d B resident (flat %d B)\n",
@@ -491,8 +484,7 @@ func runServe(g *ridgewalker.Graph, cfg ridgewalker.WalkConfig, qs []ridgewalker
 		fmt.Print(rec)
 	}
 	for _, ps := range svc.PlanStatus() {
-		fmt.Printf("plan %-20s → %s  observed %.3g steps/s over %d batches (replans=%d)\n",
-			ps.Class, ps.Plan, ps.ObservedStepsPerSec, ps.Observations, ps.Recalibrations)
+		fmt.Printf("plan %-20s → %s\n", ps.Class, ps.Plan)
 	}
 	m := svc.Metrics()
 	for name, c := range m.PerBackend {

@@ -135,7 +135,7 @@ func plannerFixture(rep *PerfReport, regret float64) {
 		best := 2.2e6 * float64(p)
 		rep.Planner = append(rep.Planner, PlannerRecord{
 			Algorithm: "URW", Graph: rep.Graph, GoMaxProcs: p,
-			Chosen: "cpu-pipelined c64", PlanSource: "calibrated",
+			Chosen: "cpu-pipelined c64", PlanSource: "default",
 			AutoStepsPerSec:       best * (1 - regret),
 			BestManual:            "cpu-sharded-s4",
 			BestManualStepsPerSec: best,

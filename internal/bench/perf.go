@@ -374,8 +374,8 @@ func RunPerf(c *Context) (*PerfReport, error) {
 				rep.Records = append(rep.Records, rec)
 			}
 			// One planner cell per algorithm × procs: the "auto" backend
-			// calibrates, then races the cell's best sweep configuration
-			// in a paired measurement on the same queries.
+			// races the cell's best sweep configuration in a paired
+			// measurement on the same queries.
 			pcell, err := plannerCell(rep, name, gw, wcfg, qs, c.Opts.Repeat)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)

@@ -26,9 +26,9 @@ func init() {
 }
 
 // PlannerRecord is one {algorithm × GOMAXPROCS} cell of the planner
-// sweep: the "auto" backend calibrates, picks a configuration, and runs
-// the full workload; the cell's regret is how far that lands below the
-// best hand-picked configuration, re-measured PAIRED with the auto run
+// sweep: the "auto" backend opens its plan and runs the full workload;
+// the cell's regret is how far that lands below the best hand-picked
+// configuration, re-measured PAIRED with the auto run
 // (interleaved rounds, medians — see plannerCell) so machine-speed
 // drift across the sweep cancels out of the ratio. The reference set
 // includes the pinned cpu-sharded rows, so a cell a sharded pin wins by
@@ -45,11 +45,9 @@ type PlannerRecord struct {
 	ChosenBackend string `json:"chosen_backend"`
 	ChosenCohort  int    `json:"chosen_cohort,omitempty"`
 	PlanSource    string `json:"plan_source"`
-	// PredictedStepsPerSec is the calibration probe's estimate;
-	// AutoStepsPerSec the realized full-workload throughput (median over
-	// the paired rounds).
-	PredictedStepsPerSec float64 `json:"predicted_steps_per_sec"`
-	AutoStepsPerSec      float64 `json:"auto_steps_per_sec"`
+	// AutoStepsPerSec is the realized full-workload throughput (median
+	// over the paired rounds).
+	AutoStepsPerSec float64 `json:"auto_steps_per_sec"`
 	// BestManual names the fastest hand-picked perf-sweep configuration
 	// for the same cell (non-tiered, non-hub records only);
 	// BestManualStepsPerSec is its PAIRED re-measurement against the
@@ -104,7 +102,6 @@ func plannerCell(rep *PerfReport, name string, g *graph.CSR, wcfg walk.Config, q
 	}
 	auto, err := exec.Open("auto", g, exec.Config{
 		Walk: wcfg, DiscardPaths: true,
-		Plan: &plan.Options{Calibrate: true},
 	})
 	if err != nil {
 		return PlannerRecord{}, err
@@ -117,14 +114,13 @@ func plannerCell(rep *PerfReport, name string, g *graph.CSR, wcfg walk.Config, q
 	pr := reporter.PlanReport()
 	chosen := plan.Candidate{Backend: pr.Backend, Cohort: pr.Cohort}
 	rec := PlannerRecord{
-		Algorithm:            wcfg.Algorithm.String(),
-		Graph:                name,
-		GoMaxProcs:           procs,
-		Chosen:               chosen.String(),
-		ChosenBackend:        pr.Backend,
-		ChosenCohort:         pr.Cohort,
-		PlanSource:           pr.Source,
-		PredictedStepsPerSec: pr.PredictedStepsPerSec,
+		Algorithm:     wcfg.Algorithm.String(),
+		Graph:         name,
+		GoMaxProcs:    procs,
+		Chosen:        chosen.String(),
+		ChosenBackend: pr.Backend,
+		ChosenCohort:  pr.Cohort,
+		PlanSource:    pr.Source,
 	}
 	if best == nil {
 		// No reference to pair against; the gate skips the cell.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -13,19 +12,18 @@ import (
 	"ridgewalker/internal/walk"
 )
 
-// autoBackend is the planner-driven meta-backend: Open resolves an
-// execution plan — from graph statistics, and from a calibration
-// micro-bench when Config.Plan enables it — then delegates to the
-// chosen CPU-family engine with the resolved shape. The session it
-// returns is the chosen engine's session wrapped with plan reporting,
-// so trajectories are byte-identical to opening the chosen backend by
-// hand with the same knobs.
+// autoBackend is the planner's meta-backend: Open resolves the constant
+// execution plan (plan.Decide) and delegates to the chosen CPU-family
+// engine with the resolved shape. The session it returns is the chosen
+// engine's session wrapped with plan reporting, so trajectories are
+// byte-identical to opening the chosen backend by hand with the same
+// knobs.
 type autoBackend struct{}
 
 func (autoBackend) Name() string { return "auto" }
 
 func (autoBackend) Description() string {
-	return "planner-selected CPU engine: graph stats + calibration pick backend/cohort (see -explain-plan)"
+	return "planned CPU engine: cpu-pipelined at the pinned -cohort or the default 256 (see -explain-plan)"
 }
 
 // MergesBatches implements BatchMerger: every engine the planner can
@@ -52,108 +50,57 @@ func (autoBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if err := cfg.Walk.Validate(g); err != nil {
 		return nil, err
 	}
-	p := NewPlanner(g, cfg)
-	pl, err := p.PlanFor(cfg.Walk)
-	if err != nil {
-		return nil, err
-	}
-	return openPlanned(g, cfg, pl)
+	return openPlanned(g, cfg, plan.Decide(constraints(cfg)))
 }
 
+// constraints are cfg's pinned knobs as planning constraints.
+func constraints(cfg Config) plan.Constraints {
+	return plan.Constraints{Cohort: cfg.Cohort, MemoryBudgetBytes: cfg.MemoryBudgetBytes}
+}
+
+// healthQueries is the batch size of a plan restore's health check.
+const healthQueries = 16
+
 // NewPlanner builds a plan.Planner for g from an exec configuration:
-// the config's pinned knobs become planning constraints and its Plan
-// options tune calibration, with probes executed through this
-// registry's own Open path (so every probe session acquires and
-// releases its samplers through the sampling registry exactly like a
-// served session — a probe can bump a live store's refcount, never
-// evict it or leak a reference).
+// the config's pinned knobs become planning constraints, and a breaker
+// restore's health check opens the candidate through this registry's own
+// Open path on g — so it borrows samplers from the sampling registry
+// exactly like a served session — and runs one small batch under the
+// class's walk configuration. The check is contained: a panic in the
+// candidate's open or run fails the restore instead of unwinding into
+// the caller.
 func NewPlanner(g *graph.CSR, cfg Config) *plan.Planner {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cons := plan.Constraints{
-		Cohort:            cfg.Cohort,
-		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
-	}
-	opts := plan.Options{}
-	if cfg.Plan != nil {
-		opts = *cfg.Plan
-	}
-	return plan.New(g, cons, opts, probeRunner(workers))
-}
-
-// probeRunner opens calibration probes through the ordinary backend
-// Open path, so a probe session acquires and releases its samplers
-// exactly like a served one. The planner holds every candidate's probe
-// open for the whole sweep and steps them in interleaved rounds (see
-// plan.Probe); Close releases the registry sampler borrow.
-func probeRunner(workers int) plan.ProbeRunner {
-	return func(g *graph.CSR, cand plan.Candidate, pcfg walk.Config, qs []walk.Query, budget int64) (plan.Probe, error) {
-		// Contained like probe steps: an Open-path crash (e.g. a sampler
-		// build panic) marks the candidate failed instead of unwinding
-		// through the planner into its caller.
-		var ses Session
-		err := fault.Contain("calibration-probe", func() error {
-			var err error
-			ses, err = Open(cand.Backend, g, Config{
-				Walk:              pcfg,
+	return plan.New(g, constraints(cfg), func(cand plan.Candidate, wcfg walk.Config) error {
+		qs, err := walk.RandomQueries(g, wcfg, healthQueries, wcfg.Seed)
+		if err != nil {
+			return err
+		}
+		return fault.Contain("plan-restore", func() error {
+			ses, err := Open(cand.Backend, g, Config{
+				Walk:              wcfg,
 				Workers:           workers,
 				Cohort:            cand.Cohort,
-				MemoryBudgetBytes: budget,
+				MemoryBudgetBytes: cfg.MemoryBudgetBytes,
 				DiscardPaths:      true,
 			})
+			if err != nil {
+				return err
+			}
+			defer ses.Close()
+			_, err = ses.Run(context.Background(), Batch{Queries: qs})
 			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		return &execProbe{cand: cand, ses: ses, batch: Batch{Queries: qs}}, nil
-	}
-}
-
-// execProbe adapts a backend session to the planner's probe handle: one
-// timed run of the probe batch per Step.
-type execProbe struct {
-	cand  plan.Candidate
-	ses   Session
-	batch Batch
-}
-
-func (p *execProbe) Step() (float64, error) {
-	if err := fault.CheckTag(fault.CalibrationProbe, p.cand.Backend); err != nil {
-		return 0, err
-	}
-	// Probe runs are contained like served batches: a panicking candidate
-	// scores as a failed measurement (Decide skips it) instead of taking
-	// down the planner's caller.
-	var sps float64
-	err := fault.Contain("calibration-probe", func() error {
-		start := time.Now()
-		res, err := p.ses.Run(context.Background(), p.batch)
-		if err != nil {
-			return err
-		}
-		el := time.Since(start).Seconds()
-		if el <= 0 || res.Steps == 0 {
-			return fmt.Errorf("exec: probe %s took no steps", p.cand)
-		}
-		sps = float64(res.Steps) / el
-		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return sps, nil
 }
-
-func (p *execProbe) Close() error { return p.ses.Close() }
 
 // openPlanned opens pl's chosen engine with cfg's pass-through fields
 // and the plan's resolved shape, wrapping the session for reporting.
 func openPlanned(g *graph.CSR, cfg Config, pl plan.Plan) (Session, error) {
 	inner := cfg
-	inner.Plan = nil
 	inner.Cohort = pl.Cohort
 	inner.MemoryBudgetBytes = pl.MemoryBudgetBytes
 	ses, err := Open(pl.Backend, g, inner)
@@ -200,15 +147,14 @@ func (s *autoSession) PlanReport() *PlanReport {
 	observed, runs := s.observed, s.runs
 	s.mu.Unlock()
 	return &PlanReport{
-		Backend:              s.plan.Backend,
-		Cohort:               s.plan.Cohort,
-		MemoryBudgetBytes:    s.plan.MemoryBudgetBytes,
-		Source:               s.plan.Source,
-		Reason:               s.plan.Reason,
-		Revision:             s.plan.Revision,
-		PredictedStepsPerSec: s.plan.PredictedStepsPerSec,
-		ObservedStepsPerSec:  observed,
-		Runs:                 runs,
+		Backend:             s.plan.Backend,
+		Cohort:              s.plan.Cohort,
+		MemoryBudgetBytes:   s.plan.MemoryBudgetBytes,
+		Source:              s.plan.Source,
+		Reason:              s.plan.Reason,
+		Revision:            s.plan.Revision,
+		ObservedStepsPerSec: observed,
+		Runs:                runs,
 	}
 }
 

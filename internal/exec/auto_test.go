@@ -9,12 +9,6 @@ import (
 	"ridgewalker/internal/walk"
 )
 
-// fastCalibration keeps test probe sweeps tiny: few short queries, one
-// timed repeat, and probing on the real graph (no subgraph sampling).
-func fastCalibration() *plan.Options {
-	return &plan.Options{Calibrate: true, Queries: 64, WalkLength: 8, Repeat: 1, SubgraphEdges: -1}
-}
-
 // TestAutoEquivalenceMatrix pins the auto backend's core contract:
 // whatever engine and shape the planner resolves to, the trajectories
 // are byte-identical to opening that backend by hand with the same
@@ -27,7 +21,7 @@ func TestAutoEquivalenceMatrix(t *testing.T) {
 		for _, view := range []string{"static", "mutated-snapshot"} {
 			t.Run(alg.String()+"/"+view, func(t *testing.T) {
 				cfg, qs := testWorkload(t, g, alg, 200)
-				acfg := Config{Walk: cfg, Plan: fastCalibration()}
+				acfg := Config{Walk: cfg}
 				if view == "mutated-snapshot" {
 					acfg.Snapshot = snap
 				}
@@ -72,15 +66,13 @@ func TestAutoEquivalenceMatrix(t *testing.T) {
 }
 
 // TestAutoRespectsMemoryBudget pins the planner's memory contract: a
-// stated budget reaches the chosen session verbatim (the probe-side
-// scaling never leaks into the plan).
+// stated budget reaches the chosen session verbatim.
 func TestAutoRespectsMemoryBudget(t *testing.T) {
 	g := testGraph(t)
 	cfg, qs := testWorkload(t, g, walk.DeepWalk, 120)
 	const budget = 1 << 16
 	ses, err := Open("auto", g, Config{
 		Walk:              cfg,
-		Plan:              fastCalibration(),
 		MemoryBudgetBytes: budget,
 	})
 	if err != nil {
@@ -126,8 +118,9 @@ func TestAutoSessionCapabilities(t *testing.T) {
 		t.Fatal("auto session does not implement PlanReporter")
 	}
 	pr := rep.PlanReport()
-	if pr.Source != "stats" {
-		t.Fatalf("zero-config auto open should plan from stats, got %q", pr.Source)
+	if pr.Source != "default" || pr.Backend != "cpu-pipelined" || pr.Cohort != plan.DefaultCohort {
+		t.Fatalf("zero-config auto open planned %s c%d (%s), want cpu-pipelined c%d (default)",
+			pr.Backend, pr.Cohort, pr.Source, plan.DefaultCohort)
 	}
 	sizer, ok := ses.(SamplerSizer)
 	if !ok {

@@ -116,11 +116,7 @@ type Config struct {
 	// (default baselines.DefaultH100).
 	GPU *baselines.GPUConfig
 
-	// Plan tunes the "auto" backend's planner (calibration micro-bench,
-	// probe seed and sizes, drift thresholds). nil means stats-only
-	// planning at Open — cheap enough for one-shot sessions; long-lived
-	// serving layers enable plan.Options.Calibrate. Other backends
-	// ignore it.
+	// Deprecated: ignored. The "auto" plan is a constant (plan.Decide).
 	Plan *plan.Options
 }
 
@@ -178,8 +174,8 @@ type BatchResult struct {
 	// nil unless the session was opened with a nonzero MemoryBudgetBytes.
 	Memory *MemoryReport
 	// Plan carries the resolved execution plan for sessions opened
-	// through the "auto" backend (chosen backend and shape, predicted
-	// vs observed steps/sec); nil for manually selected backends.
+	// through the "auto" backend (chosen backend and shape, observed
+	// steps/sec); nil for manually selected backends.
 	Plan *PlanReport
 }
 
@@ -311,18 +307,16 @@ type PlanReport struct {
 	Backend           string
 	Cohort            int
 	MemoryBudgetBytes int64
-	// Source and Reason record how the decision was made ("stats",
-	// "calibrated", "replanned") and why.
+	// Source and Reason record where the plan came from ("default",
+	// "pinned", "demoted", "restored") and why.
 	Source string
 	Reason string
-	// Revision counts drift-triggered re-plans of the class.
+	// Revision counts the class's breaker demotions and restorations.
 	Revision int
-	// PredictedStepsPerSec is the calibration prediction (0 for
-	// stats-only plans); ObservedStepsPerSec is the EWMA of the
-	// session's own runs so far, with Runs counting them.
-	PredictedStepsPerSec float64
-	ObservedStepsPerSec  float64
-	Runs                 int64
+	// ObservedStepsPerSec is the EWMA of the session's own runs so far,
+	// with Runs counting them.
+	ObservedStepsPerSec float64
+	Runs                int64
 }
 
 // PlanReporter is an optional Session capability: sessions opened

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ridgewalker/internal/graph"
-	"ridgewalker/internal/plan"
 	"ridgewalker/internal/sampling"
 	"ridgewalker/internal/walk"
 )
@@ -117,12 +116,12 @@ func TestSessionsShareSamplerAcrossWalkLengths(t *testing.T) {
 	}
 }
 
-// TestCalibrationProbesAreRegistrySafe pins the planner's sampler
-// discipline: calibration probes acquire samplers through the registry
-// like any session and release them on probe close, so a sweep leaves
-// refcounts exactly where it found them — it neither leaks borrows nor
-// evicts the store a live session is walking on.
-func TestCalibrationProbesAreRegistrySafe(t *testing.T) {
+// TestPlanRestoreIsRegistrySafe pins the planner's sampler discipline:
+// a breaker restore's health check opens its session through the
+// registry like any other and releases it, so refcounts end where they
+// started — it neither leaks a borrow nor evicts the store a live session
+// is walking on.
+func TestPlanRestoreIsRegistrySafe(t *testing.T) {
 	g := testGraph(t)
 	cfg := walk.DefaultConfig(walk.DeepWalk)
 	cfg.WalkLength = 20
@@ -132,62 +131,28 @@ func TestCalibrationProbesAreRegistrySafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := sampling.DefaultRegistry()
-	if n := reg.Refs(g, spec); n != 0 {
-		t.Fatalf("stale refs before test: %d", n)
-	}
 	live, err := Open("cpu", g, Config{Walk: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Refs(g, spec); n != 1 {
-		t.Fatalf("live session refs = %d, want 1", n)
-	}
+	defer live.Close()
 	liveSampler := sessionSampler(t, live)
 	entries := reg.Len()
-	// Calibrate on the full graph (SubgraphEdges < 0 disables probe
-	// subsampling), so every probe's sampler spec collides with the live
-	// session's registry entry — the worst case for a refcount bug.
-	p := NewPlanner(g, Config{Walk: cfg, Plan: &plan.Options{
-		Calibrate: true, Queries: 64, WalkLength: 8, Repeat: 1, SubgraphEdges: -1,
-	}})
-	pl, err := p.PlanFor(cfg)
-	if err != nil {
-		t.Fatal(err)
+	p := NewPlanner(g, Config{Walk: cfg})
+	if _, ok := p.Demote(cfg, "test"); !ok {
+		t.Fatal("demote refused")
 	}
-	if pl.Source != "calibrated" {
-		t.Fatalf("plan source = %q, want calibrated", pl.Source)
+	if pl, ok := p.Restore(cfg); !ok || pl.Backend != "cpu-pipelined" {
+		t.Fatalf("restore = %v, %v; want the cpu-pipelined plan back", pl, ok)
 	}
 	if n := reg.Refs(g, spec); n != 1 {
-		t.Fatalf("refs after calibration = %d, want 1 (probes must release)", n)
+		t.Fatalf("refs after the health check = %d, want 1 (the check must release)", n)
 	}
 	if n := reg.Len(); n != entries {
-		t.Fatalf("registry entries %d -> %d across calibration", entries, n)
+		t.Fatalf("registry entries %d -> %d across the health check", entries, n)
 	}
 	if sessionSampler(t, live) != liveSampler {
-		t.Fatal("calibration evicted and rebuilt the live session's sampler")
-	}
-	// The borrowed store is still sound: the live session matches the
-	// golden engine after the sweep ran over it.
-	qs, err := walk.RandomQueries(g, cfg, 120, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := walk.Run(g, qs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := live.Run(context.Background(), Batch{Queries: qs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Paths, want.Paths) {
-		t.Fatal("live session diverged after calibration sweep")
-	}
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Refs(g, spec); n != 0 {
-		t.Fatalf("refs after close = %d, want 0", n)
+		t.Fatal("the health check evicted and rebuilt the live session's sampler")
 	}
 }
 

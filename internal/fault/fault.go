@@ -41,9 +41,6 @@ const (
 	// DispatchFlush fires at the top of the serving layer's batch-group
 	// dispatch (a flushed group about to run).
 	DispatchFlush Point = "dispatch-flush"
-	// CalibrationProbe fires in the planner's calibration probe step;
-	// the tag is the probed candidate's backend name.
-	CalibrationProbe Point = "calibration-probe"
 	// BatchExec fires inside backend batch execution, at the engines'
 	// cooperative-stop checkpoints; the tag is the executing backend
 	// name ("cpu", "cpu-pipelined", "cpu-sharded").
@@ -52,7 +49,7 @@ const (
 
 // Points lists every registered injection point in deterministic order.
 func Points() []Point {
-	return []Point{SamplerBuild, ColdDecode, ShardHandoff, DispatchFlush, CalibrationProbe, BatchExec}
+	return []Point{SamplerBuild, ColdDecode, ShardHandoff, DispatchFlush, BatchExec}
 }
 
 // Mode selects how an injection surfaces.
@@ -159,7 +156,7 @@ func (e *EngineFault) Unwrap() error { return ErrEngineFault }
 // Contain runs fn, converting a panic into a typed *EngineFault carrying
 // the given boundary name (and the injection point, when the panic was
 // an injected one). It is the stack's panic firewall: worker goroutines,
-// batch-group dispatch, and calibration probes all run under it, so one
+// batch-group dispatch, and plan health checks all run under it, so one
 // crashing walk kills its group, never the process. Non-panic errors
 // pass through unchanged.
 func Contain(boundary string, fn func() error) (err error) {

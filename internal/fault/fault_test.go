@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,6 +172,11 @@ func TestParseSpec(t *testing.T) {
 		if _, _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}
+	}
+	// The planner's former calibration probe point went with
+	// calibration; naming it is an unknown-point error like any other.
+	if _, err := ParseSpecs("calibration" + "-probe=error"); err == nil || !strings.Contains(err.Error(), "unknown injection point") {
+		t.Fatalf("ParseSpecs of the deleted probe point: %v, want the unknown-point error", err)
 	}
 	defer Reset()
 	pts, err := ParseSpecs("sampler-build=error:limit=1, cold-decode=panic")

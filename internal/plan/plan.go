@@ -1,27 +1,16 @@
 // Package plan is the execution planner behind the "auto" backend: it
-// decides which concrete engine — and which shape (cohort width, memory
-// placement) — should serve a walk workload, instead of leaving every
-// knob hand-picked. Sharded execution is never planned: it has not won a
-// measurement on flat memory, so cpu-sharded is reached only by naming
-// it.
+// names the engine and shape that serve a walk workload, caches that
+// plan per query class, and lets a circuit breaker demote a faulting
+// class to the flat cpu engine and later restore it.
 //
-// The decision combines three signals, cheapest first:
-//
-//   - Graph statistics (stats.go): vertex/edge counts, degree skew and
-//     hub mass, weightedness, and the versioned-graph overlay dirtiness —
-//     all O(V), computed once per graph, reported by Explain, and
-//     re-planning every class once the overlay is heavily dirtied.
-//   - A calibration micro-bench (calibrate.go): tiny seeded cohort
-//     sweeps per candidate configuration, run against a sampled subgraph
-//     when the full graph is large, cached per (graph version, class).
-//   - Served-query observations (planner.go): the serving layer feeds
-//     realized steps/sec back through Observe; when it drifts beyond a
-//     factor of the level the plan was adopted at, the class is
-//     re-planned and the plan revision advances.
-//
-// The decision itself (Decide) is a pure function of the constraints
-// and the calibration measurements, so it is deterministic and
-// unit-testable without running a single probe.
+// The plan itself is a constant: cpu-pipelined at the pinned cohort
+// width, or at DefaultCohort when nothing is pinned. The paper sizes its
+// pipeline in closed form (Theorem VI.1, Eq. 1) instead of racing
+// configurations at start-up, and on this code the measurements agree:
+// a start-up calibration over {cpu, c16, c64, c256} won no benchmark
+// workload against the constant and cost 0.1–0.3 s of every service
+// start. Sharded execution is never planned either; cpu-sharded is
+// reached only by naming it.
 package plan
 
 import (
@@ -32,10 +21,9 @@ import (
 )
 
 // Class is the planner's unit of decision: workloads that share a class
-// share a plan. Walk length, seed, and termination parameters (PPR's α)
-// shift absolute throughput but not the relative ordering of engines,
-// so the class keys on the algorithm and the sampler-relevant graph
-// weightedness only.
+// share a plan (and a circuit breaker). The class keys on the algorithm
+// and the graph's weightedness, which decide the sampler a session
+// builds.
 type Class struct {
 	Algorithm walk.Algorithm
 	Weighted  bool
@@ -54,8 +42,8 @@ func (c Class) String() string {
 	return c.Algorithm.String() + "/unweighted"
 }
 
-// Candidate is one concrete engine shape the planner can choose or
-// probe: a backend name plus the shape knobs that backend honors.
+// Candidate is one concrete engine shape: a backend name plus the shape
+// knobs that backend honors.
 type Candidate struct {
 	Backend string
 	// Cohort is the cpu-pipelined in-flight walker count per worker
@@ -74,15 +62,13 @@ func (c Candidate) String() string {
 }
 
 // Constraints are the caller-pinned knobs the planner must honor: a
-// nonzero Cohort restricts the candidate space to that width, and the
-// memory budget passes through to the chosen session unchanged — the
-// planner never converts a stated budget into anything looser.
+// nonzero Cohort is the width the plan runs at, and the memory budget
+// passes through to the chosen session unchanged.
 type Constraints struct {
 	// Cohort, when nonzero, pins the cpu-pipelined cohort width.
 	Cohort int
-	// MemoryBudgetBytes is the stated memory budget. Every plan carries
-	// it verbatim; the planner scales it only for probe runs on sampled
-	// subgraphs, never for the plan itself.
+	// MemoryBudgetBytes is the stated memory budget; every plan carries
+	// it verbatim.
 	MemoryBudgetBytes int64
 }
 
@@ -92,19 +78,17 @@ type Plan struct {
 	// MemoryBudgetBytes is the memory budget the session must be opened
 	// with (see Constraints).
 	MemoryBudgetBytes int64
-	// PredictedStepsPerSec is the calibration measurement the choice was
-	// based on; 0 when the plan came from statistics alone.
-	PredictedStepsPerSec float64
-	// Source records how the decision was made: "stats" (heuristics
-	// only), "calibrated" (micro-bench), "replanned" (drift-triggered
-	// recalibration), "demoted" (circuit breaker fell back to cpu), or
-	// "restored" (half-open health probe reinstated the prior plan).
+	// Source records where the plan came from: "default" (no cohort
+	// pinned), "pinned" (the caller's cohort), "demoted" (the circuit
+	// breaker fell back to cpu), or "restored" (the half-open health
+	// check reinstated the plan the class had before its demotion).
 	Source string
 	// Reason is a one-line human-readable justification.
 	Reason string
-	// Revision counts re-plans of this class; serving layers fold it
-	// into their coalescing keys so a plan switch starts a fresh session
-	// instead of tearing an in-flight one.
+	// Revision counts the class's breaker demotions and restorations;
+	// serving layers fold it into their coalescing keys so a plan switch
+	// starts a fresh session instead of reusing one the faulting engine
+	// may have corrupted.
 	Revision int
 }
 
@@ -122,79 +106,33 @@ func (p Plan) String() string {
 	if p.MemoryBudgetBytes != 0 {
 		s += fmt.Sprintf(" budget=%dB", p.MemoryBudgetBytes)
 	}
-	if p.PredictedStepsPerSec > 0 {
-		s += fmt.Sprintf(" (predicted %.3g steps/s, %s)", p.PredictedStepsPerSec, p.Source)
-	} else {
-		s += fmt.Sprintf(" (%s)", p.Source)
-	}
-	return s
+	return s + fmt.Sprintf(" (%s)", p.Source)
 }
 
-// Measurement is one calibration probe outcome.
-type Measurement struct {
-	Candidate   Candidate
-	StepsPerSec float64
-	// Err, when nonempty, marks a candidate that failed to open or run;
-	// Decide skips it.
-	Err string
-}
-
-// DefaultCohort is the cohort width of the stats-only plan and the widest
-// calibrated candidate; the cpu-pipelined backend takes its own default
-// from it (exec.DefaultCohort records the sweep behind the choice).
+// DefaultCohort is the cohort width of the default plan; the
+// cpu-pipelined backend takes its own default from it (exec.DefaultCohort
+// records the sweep behind the choice).
 const DefaultCohort = 256
 
-// Candidates enumerates the engine shapes worth considering under cons,
-// in deterministic order: the flat engine and the cohort pipeline at a
-// few widths (one, when cons pins it). The list is deliberately small —
-// calibration cost is candidates × probe runtime — and holds no sharded
-// shape: on RMAT-20 with two procs the sharded engine ran 4–5 Mstep/s
-// against 29–41 unsharded.
-func Candidates(cons Constraints) []Candidate {
-	cohorts := []int{16, 64, DefaultCohort}
-	if cons.Cohort > 0 {
-		cohorts = []int{cons.Cohort}
-	}
-	out := []Candidate{{Backend: "cpu"}}
-	for _, c := range cohorts {
-		out = append(out, Candidate{Backend: "cpu-pipelined", Cohort: c})
-	}
-	return out
+// Options is the planner's former tuning surface.
+type Options struct {
+	// Deprecated: ignored. The plan is a constant; nothing is calibrated.
+	Calibrate bool
 }
 
-// Decide is the pure decision function: given the constraints and
-// whatever calibration measurements exist (possibly none), it returns
-// the plan. With measurements it picks the fastest surviving candidate
-// (first wins ties, and the candidate order is deterministic, so so is
-// the decision); without, it falls back to the heuristic the bench
-// record supports: the cohort pipeline, which never loses to the flat
-// engine.
-func Decide(cons Constraints, ms []Measurement) Plan {
-	p := Plan{MemoryBudgetBytes: cons.MemoryBudgetBytes}
-	var best *Measurement
-	for i := range ms {
-		m := &ms[i]
-		if m.Err != "" || m.StepsPerSec <= 0 {
-			continue
-		}
-		if best == nil || m.StepsPerSec > best.StepsPerSec {
-			best = m
-		}
+// Decide returns the plan for cons: the cohort pipeline at the pinned
+// width, or at DefaultCohort, carrying the stated memory budget.
+func Decide(cons Constraints) Plan {
+	p := Plan{
+		Candidate:         Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort},
+		MemoryBudgetBytes: cons.MemoryBudgetBytes,
+		Source:            "default",
+		Reason:            "the cohort pipeline at its default width is never slower than the flat engine",
 	}
-	if best != nil {
-		p.Candidate = best.Candidate
-		p.PredictedStepsPerSec = best.StepsPerSec
-		p.Source = "calibrated"
-		p.Reason = fmt.Sprintf("fastest of %d probed candidates", len(ms))
-		return p
-	}
-	// Stats-only fallback.
-	cohort := DefaultCohort
 	if cons.Cohort > 0 {
-		cohort = cons.Cohort
+		p.Cohort = cons.Cohort
+		p.Source = "pinned"
+		p.Reason = "cohort width pinned by the caller"
 	}
-	p.Candidate = Candidate{Backend: "cpu-pipelined", Cohort: cohort}
-	p.Source = "stats"
-	p.Reason = "stats: cohort pipeline is never slower than the flat engine"
 	return p
 }

@@ -392,34 +392,33 @@ type (
 	// to BatchResult when the session was opened with a nonzero
 	// MemoryBudgetBytes.
 	MemoryReport = exec.MemoryReport
-	// PlanOptions tune the "auto" backend's planner: calibration on/off,
-	// probe seed and sizes, subgraph bound, and the drift thresholds
-	// that trigger online re-planning (see BackendConfig.Plan and
-	// ServiceConfig.Plan).
+	// PlanOptions is the "auto" planner's former tuning surface.
+	//
+	// Deprecated: ignored. The auto plan is cpu-pipelined at the pinned
+	// Cohort (default 256); pin Cohort to change it.
 	PlanOptions = plan.Options
 	// PlanReport is the resolved execution decision attached to
 	// BatchResult (and available via the PlanReporter capability) for
 	// sessions opened through the "auto" backend.
 	PlanReport = exec.PlanReport
 	// PlanClassStatus is one query class's planning state, reported by
-	// Service.PlanStatus: the chosen plan, predicted vs observed
-	// steps/sec, and the drift-triggered recalibration count.
+	// Service.PlanStatus: the plan it serves and whether the circuit
+	// breaker has demoted it.
 	PlanClassStatus = plan.ClassStatus
 )
 
-// ExplainPlan renders the "auto" backend's full decision record for a
-// configuration without opening a session: the graph statistics, every
-// probed candidate's measured steps/sec (when cfg.Plan enables
-// calibration), and the chosen plan. The CLI's -explain-plan flag is a
-// thin wrapper over this.
+// ExplainPlan renders the "auto" backend's decision record for a
+// configuration without opening a session: the query class, the plan
+// and the reason for it. The CLI's -explain-plan flag is a thin wrapper
+// over this.
 func ExplainPlan(g *Graph, cfg BackendConfig) (string, error) {
 	return exec.NewPlanner(g, cfg).Explain(cfg.Walk)
 }
 
 // SessionPlan returns the resolved execution plan of a session opened
 // through the "auto" backend (nil, false for manually selected
-// backends) — the chosen engine and shape plus predicted vs observed
-// steps/sec so the planner's choice is inspectable, not a black box.
+// backends) — the chosen engine and shape plus the session's observed
+// steps/sec.
 func SessionPlan(s Session) (*PlanReport, bool) {
 	pr, ok := s.(exec.PlanReporter)
 	if !ok {
@@ -459,8 +458,7 @@ func OpenBackend(name string, g *Graph, cfg BackendConfig) (Session, error) {
 
 // Fault injection and fault-isolation surface. The library threads named
 // injection points through its engine hot paths (sampler build, cold-row
-// decode, shard ring hand-off, dispatcher flush, calibration probes,
-// batch execution); arming one makes the point fail — as a typed error
+// decode, shard ring hand-off, dispatcher flush, batch execution); arming one makes the point fail — as a typed error
 // or a panic — on a deterministic schedule, exercising the same
 // containment, breaker, quarantine, and watchdog machinery a real crash
 // would. Disarmed points cost one atomic load. The chaos tests and the

@@ -24,11 +24,10 @@ import (
 // ServiceConfig configures a Service.
 type ServiceConfig struct {
 	// Backend names the execution engine serving requests (see Backends);
-	// default "auto" — the planner picks a CPU-family engine and shape
-	// per query class from graph statistics, a start-up calibration
-	// micro-bench, and served-query observations (see PlanStatus). Name
-	// a concrete backend ("cpu", "cpu-pipelined", ...) to pin the engine
-	// by hand.
+	// default "auto" — cpu-pipelined at Cohort (or the default width),
+	// with a per-class circuit breaker that can demote a faulting class to
+	// cpu (see PlanStatus). Name a concrete backend ("cpu",
+	// "cpu-pipelined", ...) to pin the engine by hand.
 	Backend string
 	// Platform selects the accelerator memory system for simulator-backed
 	// backends; ignored by the cpu backend.
@@ -84,12 +83,6 @@ type ServiceConfig struct {
 	// Submissions beyond a tenant's bucket are rejected with
 	// ErrQuotaExceeded without affecting other tenants.
 	TenantQuotas map[string]TenantQuota
-	// Plan tunes the "auto" backend's planner. nil enables calibration
-	// with defaults (the service is long-lived, so the start-up
-	// micro-bench amortizes); a non-nil value is used verbatim, so
-	// &PlanOptions{} yields stats-only planning. Ignored when Backend
-	// names a concrete engine.
-	Plan *PlanOptions
 	// DisableAsync and DisableDynamicSched are the "ridgewalker" backend's
 	// Fig. 11 ablation switches; other backends ignore them.
 	DisableAsync        bool
@@ -167,21 +160,19 @@ type Service struct {
 	vg  *graph.Versioned
 	cfg ServiceConfig
 
-	// planner is non-nil when Backend is "auto": it resolves one plan
-	// per query class and folds served steps/sec back in. Guarded by
-	// s.mu (the pointer is swapped when CompactGraph replaces the base
-	// graph); the planner itself is internally synchronized.
+	// planner is non-nil when Backend is "auto": it caches one plan per
+	// query class and carries the breaker's demotions. Guarded by s.mu
+	// (the pointer is swapped when CompactGraph replaces the base graph);
+	// the planner itself is internally synchronized.
 	planner *plan.Planner
 	// pins borrows each planned class's sampler store on the serving base
-	// for the planner's lifetime. While a class calibrates, its probes are
-	// the store's only borrowers; without a pin the store is evicted when
-	// the sweep ends and the class's first session rebuilds it — a second
-	// O(E) alias build, and its garbage, at every service start. Guarded
-	// by s.mu; released with the planner (CompactGraph) and at Close.
+	// for the planner's lifetime. Sessions come and go with plan
+	// revisions, epochs and LRU eviction, and an epoch switch derives its
+	// dirty alias rows from the base store; without a pin a moment with no
+	// live session evicts the store and the next one rebuilds it — an
+	// O(E) alias build and its garbage. Guarded by s.mu; released with the
+	// planner (CompactGraph) and at Close.
 	pins map[plan.Class]*sampling.SamplerRef
-	// runs tells a batch's engine run whether it had the machine to
-	// itself; only those are fed to the planner.
-	runs runGauge
 
 	// admit is the front-door overload gate: every Submit/Stream passes
 	// its lane, tenant, query count, and deadline headroom through
@@ -359,9 +350,9 @@ type batchGroup struct {
 	queued time.Duration
 	// planned/plan carry the resolved execution plan under the "auto"
 	// backend. The plan's fingerprint is part of the group key, so every
-	// co-batched request shares one plan revision and a drift-triggered
-	// re-plan keys later requests to a fresh group (and session) instead
-	// of tearing this one.
+	// co-batched request shares one plan revision, and a breaker demotion
+	// or restore keys later requests to a fresh group (and session)
+	// instead of tearing this one.
 	planned bool
 	plan    plan.Plan
 	// faulted marks a group whose engine fault noteFault has already
@@ -591,11 +582,6 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 	if cfg.Backend == "auto" {
 		s.planner = s.newPlanner(g)
 		s.pins = map[plan.Class]*sampling.SamplerRef{}
-		// Service-start calibration: warm the always-valid URW class now
-		// so the first request doesn't pay the micro-bench. Other classes
-		// calibrate on first use, cached per class. Failure is not fatal —
-		// the planner falls back to stats-only decisions.
-		s.planner.PlanFor(walk.DefaultConfig(walk.URW))
 	}
 	s.flushWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -610,28 +596,22 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 }
 
 // newPlanner builds the auto backend's planner over base: the service's
-// pinned knobs become planning constraints, and calibration defaults on
-// unless the caller supplied PlanOptions.
+// pinned knobs become planning constraints.
 func (s *Service) newPlanner(base *graph.CSR) *plan.Planner {
-	opts := plan.Options{Calibrate: true}
-	if s.cfg.Plan != nil {
-		opts = *s.cfg.Plan
-	}
 	return exec.NewPlanner(base, exec.Config{
 		Workers:           s.cfg.Workers,
 		Cohort:            s.cfg.Cohort,
 		MemoryBudgetBytes: s.cfg.MemoryBudgetBytes,
-		Plan:              &opts,
 	})
 }
 
-// resolvePlan returns the current plan for cfg's class (calibrating on
-// first use) plus the key suffix that folds it into request coalescing.
-// Manual backends plan nothing and contribute no suffix.
+// resolvePlan returns the current plan for cfg's class plus the key
+// suffix that folds it into request coalescing. Manual backends plan
+// nothing and contribute no suffix.
 //
 // This is also where an open circuit breaker half-opens: once per
-// cooldown one caller is elected to re-probe the demoted class's
-// original engine (Planner.Restore runs a health probe synchronously);
+// cooldown one caller is elected to re-check the demoted class's
+// original engine (Planner.Restore runs a health check synchronously);
 // success closes the breaker and reinstates the plan, failure re-arms
 // the cooldown. Everyone else keeps being served the demoted cpu plan.
 func (s *Service) resolvePlan(cfg WalkConfig) (pl plan.Plan, planned bool, suffix string, err error) {
@@ -651,8 +631,8 @@ func (s *Service) resolvePlan(cfg WalkConfig) (pl plan.Plan, planned bool, suffi
 			}
 		}
 	}
-	// Contained: a panic-mode fault during lazy calibration (sampler
-	// build, probe open) must fail this submission, not crash the caller.
+	// Contained: a panic-mode fault while pinning the class's sampler
+	// (its build) must fail this submission, not crash the caller.
 	cerr := fault.Contain("plan-resolve", func() error {
 		s.pinSampler(p, cfg)
 		var perr error
@@ -707,48 +687,10 @@ func (s *Service) classKey(cfg WalkConfig) string {
 	return plan.ClassOf(base, cfg).String()
 }
 
-// runGauge tells an engine run whether another overlapped it. A run that
-// shared the machine measures load, not the plan, and an overloaded
-// service is the wrong moment to open a calibration sweep — so the
-// planner's drift tracking hears only of runs that had the machine to
-// themselves.
-type runGauge struct {
-	running atomic.Int32
-	starts  atomic.Int64
-}
-
-// begin marks a run started and returns its ticket for end.
-func (g *runGauge) begin() int64 {
-	ticket := g.starts.Add(1)
-	if g.running.Add(1) != 1 {
-		return -1 // another run is in progress
-	}
-	return ticket
-}
-
-// end marks the run finished and reports whether it ran alone: none was
-// in progress when it began and none began before it ended.
-func (g *runGauge) end(ticket int64) bool {
-	return g.running.Add(-1) == 0 && g.starts.Load() == ticket
-}
-
-// observePlan feeds a served batch's realized throughput back to the
-// planner, keyed by the batch size the engine ran (drift beyond the
-// configured factor among same-size batches re-plans the class).
-func (s *Service) observePlan(cfg WalkConfig, queries int, steps int64, elapsed time.Duration) {
-	s.mu.Lock()
-	p := s.planner
-	s.mu.Unlock()
-	if p == nil || steps == 0 || elapsed <= 0 {
-		return
-	}
-	p.Observe(cfg, queries, float64(steps)/elapsed.Seconds())
-}
-
 // PlanStatus reports the auto backend's per-class planning state: the
-// resolved plan (chosen backend, cohort, memory placement),
-// predicted vs observed steps/sec, and how often drift forced a
-// re-plan. nil when the service runs a manually pinned backend.
+// resolved plan (chosen backend, cohort, memory budget) and whether the
+// breaker has demoted the class. nil when the service runs a manually
+// pinned backend.
 func (s *Service) PlanStatus() []PlanClassStatus {
 	s.mu.Lock()
 	p := s.planner
@@ -759,9 +701,9 @@ func (s *Service) PlanStatus() []PlanClassStatus {
 	return p.Status()
 }
 
-// ExplainPlan renders the full decision record for cfg's class —
-// graph statistics, probed candidates, chosen plan — resolving the plan
-// first if needed. Errors when the service runs a manual backend.
+// ExplainPlan renders cfg's class, its plan and the reason for it,
+// resolving the plan first if needed. Errors when the service runs a
+// manual backend.
 func (s *Service) ExplainPlan(cfg WalkConfig) (string, error) {
 	s.mu.Lock()
 	p := s.planner
@@ -878,7 +820,7 @@ func (s *Service) acquireSession(key string, grp *batchGroup) (*sessionEntry, er
 			// The plan was resolved at key time (its fingerprint is in the
 			// key), so the session opens the chosen concrete engine with the
 			// resolved shape — never "auto" recursively, which would
-			// recalibrate per session open.
+			// ignore a breaker demotion.
 			backend = grp.plan.Backend
 			ec.Cohort = grp.plan.Cohort
 			ec.MemoryBudgetBytes = grp.plan.MemoryBudgetBytes
@@ -1295,10 +1237,8 @@ func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) er
 			all = append(all, r.queries...)
 		}
 		grp.setStage("run")
-		ticket := s.runs.begin()
 		start := time.Now()
 		res, err := ses.Run(ctx, exec.Batch{Queries: all, Heartbeat: &grp.hb})
-		alone := s.runs.end(ticket)
 		if err != nil {
 			if grp.stalled.Load() {
 				err = fmt.Errorf("%w: %v", ErrEngineStalled, err)
@@ -1309,9 +1249,6 @@ func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) er
 		grp.setStage("deliver")
 		service := time.Since(start)
 		s.admit.Observe(len(all), service, time.Since(grp.born)-grp.queued)
-		if grp.planned && alone {
-			s.observePlan(grp.cfg, len(all), res.Steps, service)
-		}
 		lo := 0
 		var steps int64
 		for _, r := range grp.requests {
@@ -1620,8 +1557,6 @@ func (s *Service) Stream(ctx context.Context, cfg WalkConfig, queries []Query, f
 		backend = pl.Backend
 	}
 	var totalSteps int64
-	var served int
-	start := time.Now()
 	for lo := 0; lo < len(queries); lo += s.cfg.MaxBatch {
 		hi := lo + s.cfg.MaxBatch
 		if hi > len(queries) {
@@ -1659,11 +1594,6 @@ func (s *Service) Stream(ctx context.Context, cfg WalkConfig, queries []Query, f
 		// One observation per admitted chunk: the chunk is the unit the
 		// gate admitted and the engine ran, whatever the stream's length.
 		s.admit.Observe(len(chunk), time.Since(chunkStart), 0)
-		served += len(chunk)
-	}
-	service := time.Since(start)
-	if planned {
-		s.observePlan(cfg, min(served, s.cfg.MaxBatch), totalSteps, service)
 	}
 	if s.breaker != nil {
 		s.breaker.Success(plan.ClassOf(base, cfg).String())
@@ -1709,7 +1639,6 @@ func (s *Service) InsertEdges(edges []Edge) error {
 		return err
 	}
 	s.pruneStaleSessions(1)
-	s.refreshPlannerStats()
 	return nil
 }
 
@@ -1722,7 +1651,6 @@ func (s *Service) DeleteEdges(edges []Edge) error {
 		return err
 	}
 	s.pruneStaleSessions(1)
-	s.refreshPlannerStats()
 	return nil
 }
 
@@ -1737,10 +1665,9 @@ func (s *Service) CompactGraph() *Graph {
 	s.pruneStaleSessions(0) // sessions over the old base share nothing with the new one
 	s.mu.Lock()
 	if s.planner != nil {
-		// Compaction replaces the base CSR, so the planner's statistics,
-		// probe subgraph, and calibration cache all describe a dead graph:
-		// rebuild over the new base. Classes recalibrate lazily on their
-		// next request, and re-pin their stores on the new base.
+		// Compaction replaces the base CSR, so the planner's class
+		// states and sampler pins describe a dead graph: rebuild over the
+		// new base. Classes re-pin their stores on their next request.
 		s.planner = s.newPlanner(g)
 		s.releasePinsLocked()
 	}
@@ -1765,21 +1692,6 @@ func (s *Service) GraphEpoch() uint64 { return s.vg.Epoch() }
 
 // GraphStats returns the served graph's mutation accounting.
 func (s *Service) GraphStats() GraphVersionStats { return s.vg.Stats() }
-
-// refreshPlannerStats recomputes the planner's overlay-dependent
-// statistics after a mutation: the serving snapshot's dirty fraction is
-// a plan input, and crossing the heavy-dirtiness threshold marks every
-// class for re-planning (see plan.Planner.RefreshStats).
-func (s *Service) refreshPlannerStats() {
-	s.mu.Lock()
-	p := s.planner
-	s.mu.Unlock()
-	if p == nil {
-		return
-	}
-	_, snap, _ := s.vg.Serving()
-	p.RefreshStats(snap)
-}
 
 // pruneStaleSessions closes idle cached sessions keyed to epochs more
 // than keep generations older than the current one. Their keys can never

@@ -136,8 +136,8 @@ func TestChaosMatrix(t *testing.T) {
 // TestServiceBreakerDemoteRestore pins the breaker lifecycle end to end
 // under the "auto" backend: consecutive engine faults demote the class
 // to the cpu engine, the demoted plan serves cleanly (byte-identical),
-// and after the cooldown a half-open re-probe restores the original
-// plan.
+// a half-open health check that faults keeps the class demoted for
+// another cooldown, and a clean one restores the original plan.
 func TestServiceBreakerDemoteRestore(t *testing.T) {
 	defer fault.Reset()
 	g := faultTestGraph(t)
@@ -155,7 +155,6 @@ func TestServiceBreakerDemoteRestore(t *testing.T) {
 	svc, err := NewService(g, ServiceConfig{
 		Backend:             "auto",
 		Workers:             2,
-		Plan:                &PlanOptions{}, // stats-only: no start-up micro-bench
 		BreakerThreshold:    2,
 		BreakerCooldown:     50 * time.Millisecond,
 		QuarantineThreshold: -1,
@@ -214,7 +213,27 @@ func TestServiceBreakerDemoteRestore(t *testing.T) {
 	if classStatus().Plan.Source != "demoted" {
 		t.Fatal("breaker half-opened before its cooldown")
 	}
-	// Past the cooldown the next submission re-probes and restores.
+	// Past the cooldown the next submission runs the health check. With
+	// the engine still faulting the check fails: the class stays demoted
+	// and the submission itself is served by the cpu fallback.
+	time.Sleep(70 * time.Millisecond)
+	fault.Enable(fault.BatchExec, fault.Spec{Mode: fault.ModePanic, Limit: 1})
+	res, err = svc.Submit(ctx, cfg, qs)
+	if err != nil {
+		t.Fatalf("serving past a failed health check: %v", err)
+	}
+	if got := fault.Fired(fault.BatchExec); got != 1 {
+		t.Fatalf("batch-exec fired %d times, want once (in the health check)", got)
+	}
+	fault.Reset()
+	if !samePaths(res.Paths, golden.Paths) {
+		t.Fatal("run after a failed health check differs from Walk")
+	}
+	if st := classStatus(); !st.Demoted || st.Plan.Source != "demoted" {
+		t.Fatalf("plan source %s (demoted=%v) after a failed health check, want demoted", st.Plan.Source, st.Demoted)
+	}
+	// The failed check re-armed the cooldown; past it a clean check
+	// restores.
 	time.Sleep(70 * time.Millisecond)
 	res, err = svc.Submit(ctx, cfg, qs)
 	if err != nil {
@@ -232,6 +251,26 @@ func TestServiceBreakerDemoteRestore(t *testing.T) {
 	}
 	if got := svc.AdmissionStatus().InFlight; got != 0 {
 		t.Fatalf("leaked admission slots: inflight=%d", got)
+	}
+}
+
+// TestNewServiceRunsNoEngine: an auto service starts without running
+// any engine — no start-up plan warm-up, no probe — so an armed
+// batch-exec fault cannot fire before the first request, and no class
+// has a plan yet.
+func TestNewServiceRunsNoEngine(t *testing.T) {
+	defer fault.Reset()
+	fault.Enable(fault.BatchExec, fault.Spec{Mode: fault.ModeError})
+	svc, err := NewService(faultTestGraph(t), ServiceConfig{Backend: "auto", WatchdogInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := fault.Fired(fault.BatchExec); got != 0 {
+		t.Fatalf("batch-exec fired %d times before the first Submit, want 0", got)
+	}
+	if st := svc.PlanStatus(); len(st) != 0 {
+		t.Fatalf("plan status before the first Submit: %+v, want empty", st)
 	}
 }
 

@@ -152,7 +152,6 @@ func TestServiceMutateWhileServingRace(t *testing.T) {
 				Backend: backend,
 				Workers: 2,
 				Linger:  200 * time.Microsecond,
-				Plan:    &ridgewalker.PlanOptions{}, // auto: stats-only, no probes
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -324,16 +323,13 @@ func TestServiceEpochSwitchKeepsBaseSampler(t *testing.T) {
 }
 
 // TestServicePlannedSamplerPinned: under the auto backend a class's
-// sampler store is borrowed from its first plan resolution on, so the
-// calibration probes' build is the one the first session serves from
-// instead of being evicted between them; the borrow goes with the
-// planner at compaction and with the service at Close.
+// sampler store is borrowed from its first plan resolution on, so it
+// outlives any one session (epoch switches derive their dirty rows from
+// it); the borrow goes with the planner at compaction and with the
+// service at Close.
 func TestServicePlannedSamplerPinned(t *testing.T) {
 	g := serviceTestGraph(t)
-	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
-		Workers: 2,
-		Plan:    &ridgewalker.PlanOptions{Calibrate: true, Queries: 64, WalkLength: 8, Repeat: 1, SubgraphEdges: -1},
-	})
+	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
