@@ -8,30 +8,50 @@ import (
 	"ridgewalker/internal/walk"
 )
 
-// TestDecide: with nothing pinned the plan is cpu-pipelined at
-// DefaultCohort, a pinned cohort is the width the plan runs at, and a
-// stated budget passes through verbatim either way.
-func TestDecide(t *testing.T) {
-	for _, tc := range []struct {
-		cons   Constraints
-		cohort int
-		source string
-	}{
-		{Constraints{}, DefaultCohort, "default"},
-		{Constraints{MemoryBudgetBytes: 1 << 20}, DefaultCohort, "default"},
-		{Constraints{Cohort: 32}, 32, "pinned"},
-		{Constraints{Cohort: 32, MemoryBudgetBytes: -1}, 32, "pinned"},
+// TestDecidePicksFastestAndIsPure: the plan the planner picks is the
+// cohort pipeline, the engine never slower than the flat one, and Decide
+// returns the same plan for the same constraints every time.
+func TestDecidePicksFastestAndIsPure(t *testing.T) {
+	for _, cons := range []Constraints{{}, {Cohort: 32}, {Cohort: 64, MemoryBudgetBytes: 1 << 20}} {
+		p1, p2 := Decide(cons), Decide(cons)
+		if p1 != p2 {
+			t.Fatalf("Decide(%+v) is not deterministic: %+v vs %+v", cons, p1, p2)
+		}
+		if p1.Backend != "cpu-pipelined" {
+			t.Fatalf("Decide(%+v) chose %v, want cpu-pipelined", cons, p1.Candidate)
+		}
+	}
+}
+
+func TestDecideMemoryKnobs(t *testing.T) {
+	// A stated budget passes through verbatim, pinned cohort or not.
+	for _, cons := range []Constraints{
+		{MemoryBudgetBytes: 1 << 20},
+		{Cohort: 32, MemoryBudgetBytes: -1},
+		{},
 	} {
-		p := Decide(tc.cons)
-		if want := (Candidate{Backend: "cpu-pipelined", Cohort: tc.cohort}); p.Candidate != want {
-			t.Fatalf("Decide(%+v) = %v, want %v", tc.cons, p.Candidate, want)
+		if p := Decide(cons); p.MemoryBudgetBytes != cons.MemoryBudgetBytes {
+			t.Fatalf("Decide(%+v) budget = %d, want %d", cons, p.MemoryBudgetBytes, cons.MemoryBudgetBytes)
 		}
-		if p.Source != tc.source {
-			t.Fatalf("Decide(%+v) source %q, want %q", tc.cons, p.Source, tc.source)
-		}
-		if p.MemoryBudgetBytes != tc.cons.MemoryBudgetBytes {
-			t.Fatalf("Decide(%+v) budget %d, want %d", tc.cons, p.MemoryBudgetBytes, tc.cons.MemoryBudgetBytes)
-		}
+	}
+}
+
+func TestDecideStatsFallback(t *testing.T) {
+	// With nothing pinned, the cohort pipeline at DefaultCohort; a pinned
+	// cohort is the width the plan runs at.
+	p := Decide(Constraints{})
+	if want := (Candidate{Backend: "cpu-pipelined", Cohort: DefaultCohort}); p.Candidate != want {
+		t.Fatalf("default = %v, want %v", p.Candidate, want)
+	}
+	if p.Source != "default" {
+		t.Fatalf("source = %q, want default", p.Source)
+	}
+	p = Decide(Constraints{Cohort: 32})
+	if want := (Candidate{Backend: "cpu-pipelined", Cohort: 32}); p.Candidate != want {
+		t.Fatalf("cohort pinned: plan = %v, want %v", p.Candidate, want)
+	}
+	if p.Source != "pinned" {
+		t.Fatalf("cohort pinned: source = %q, want pinned", p.Source)
 	}
 }
 
