@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ridgewalker"
 	"ridgewalker/internal/bench"
@@ -106,7 +105,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
 		Backend:  "cpu",
 		MaxBatch: 4096,
-		Linger:   200 * time.Microsecond,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -71,7 +71,6 @@ func run() error {
 	serve := flag.Bool("serve", false, "run the workload through the batched serving frontend")
 	requests := flag.Int("requests", 16, "serve mode: concurrent requests the workload is split into")
 	maxBatch := flag.Int("max-batch", 4096, "serve mode: max queries coalesced per backend dispatch")
-	linger := flag.Duration("linger", 500*time.Microsecond, "serve mode: max wait for co-batched work")
 	maxInflight := flag.String("max-inflight", "", "serve mode: in-flight query budget — 'auto' (feedback-derived), a count, or empty for unbounded")
 	laneName := flag.String("lane", "interactive", "serve mode: priority lane (interactive | bulk)")
 	laneWeights := flag.String("lane-weights", "", "serve mode: interactive:bulk drain ratio, e.g. 4:1 (empty = default)")
@@ -232,7 +231,6 @@ func run() error {
 			Cohort:              *cohort,
 			MemoryBudgetBytes:   budget,
 			MaxBatch:            *maxBatch,
-			Linger:              *linger,
 			MaxInFlight:         inflight,
 			InteractiveWeight:   iw,
 			BulkWeight:          bw,

@@ -68,8 +68,13 @@ const coldBudgetPerWorker = 64
 
 // minHeadroom floors the feedback window the auto budget targets, so a
 // microsecond-scale service time cannot collapse the budget below what
-// keeps the workers fed between scheduler reactions.
-const minHeadroom = time.Millisecond
+// keeps the workers fed between scheduler reactions. Those reactions are
+// coarse: Go's netpoller rounds any sleep or timer under 1 ms up to a
+// whole millisecond, so a submitter pacing its arrivals wakes up to
+// 1 ms late, and a service goroutine parked on a timer or poll wakes up
+// to 1 ms late too. The floor covers one such wake on each side of the
+// round trip: 2 ms.
+const minHeadroom = 2 * time.Millisecond
 
 // ewmaAlpha is the smoothing factor for the service-rate and
 // feedback-delay trackers: new observations carry 20%, so a handful of
@@ -251,9 +256,10 @@ func (c *Controller) budgetLocked() int {
 	// the controller admitting work and learning, via its delivery, that
 	// the capacity is free again — floored so a microsecond-scale engine
 	// cannot starve itself of pipeline depth. The engine's run time alone
-	// is only part of that loop: the linger, the hand-off to a worker and
-	// the delivery hold slots too, and a window that leaves them out
-	// prices the budget below what keeps the engine fed.
+	// is only part of that loop: the wait behind the key's running group,
+	// the hand-off to a worker and the delivery hold slots too, and a
+	// window that leaves them out prices the budget below what keeps the
+	// engine fed.
 	window := c.delaySec
 	if min := minHeadroom.Seconds(); window < min {
 		window = min

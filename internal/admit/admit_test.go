@@ -80,9 +80,9 @@ func TestAutoBudgetTracksServiceRate(t *testing.T) {
 
 // TestAutoBudgetWindowIsTheRoundTrip pins what the feedback window
 // measures: the time a group's slots were held, not the engine's share of
-// it. With the engine time as the window, a fast engine behind a linger
-// priced the budget at about one group, and which multiple of a group it
-// settled on was decided by timing noise.
+// it. With the engine time as the window, a fast engine behind a
+// coalescing wait priced the budget at about one group, and which
+// multiple of a group it settled on was decided by timing noise.
 func TestAutoBudgetWindowIsTheRoundTrip(t *testing.T) {
 	c := controller(Config{Workers: 2, MaxInFlight: Auto}, newFakeClock())
 	// 64-query groups that run for 0.4ms but hold their slots for 2.4ms:
@@ -102,6 +102,31 @@ func TestAutoBudgetWindowIsTheRoundTrip(t *testing.T) {
 	// 6.4k q/s per worker over 5ms → mu·c = 32 → D = 2·64 + 32·2 = 192.
 	if b := c.Budget(); b < 180 || b > 200 {
 		t.Fatalf("auto budget without a round trip = %d, want ≈192", b)
+	}
+}
+
+// TestAutoBudgetWindowFloor pins minHeadroom: a round trip shorter than
+// two netpoller wakes is priced as the 2 ms floor, so a 0.3 ms round trip
+// buys the same budget as a 2 ms one.
+func TestAutoBudgetWindowFloor(t *testing.T) {
+	budget := func(roundTrip time.Duration) int {
+		c := controller(Config{Workers: 2, MaxInFlight: Auto}, newFakeClock())
+		for i := 0; i < 50; i++ {
+			c.Observe(64, 200*time.Microsecond, roundTrip)
+		}
+		return c.Budget()
+	}
+	fast, floor := budget(300*time.Microsecond), budget(2*time.Millisecond)
+	if fast != floor {
+		t.Fatalf("budget at a 0.3ms round trip = %d, at 2ms = %d; want equal", fast, floor)
+	}
+	// 64 queries in 0.2ms across 2 workers → 160k q/s per worker; over the
+	// 2ms floor mu·c = 320 per worker → D = 2·64 + 320·2 = 768.
+	if floor < 740 || floor > 800 {
+		t.Fatalf("budget at the floor = %d, want ≈768", floor)
+	}
+	if above := budget(4 * time.Millisecond); above <= floor {
+		t.Fatalf("budget at a 4ms round trip = %d, want above the floor's %d", above, floor)
 	}
 }
 

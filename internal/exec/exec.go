@@ -19,7 +19,8 @@
 //     internal/bench figure drivers — select engines by name only.
 //
 // Sessions are safe for concurrent use: calls on one Session are
-// serialized internally, so a service layer can cache and share them.
+// serialized internally (or, for ConcurrentRunner backends, run side by
+// side), so a service layer can cache and share them.
 package exec
 
 import (
@@ -180,8 +181,9 @@ type BatchResult struct {
 }
 
 // Session is a backend bound to one graph and configuration, reusable
-// across batches. Implementations serialize Run/Stream internally, so a
-// Session may be shared between goroutines.
+// across batches. Implementations serialize Run/Stream internally, or run
+// them side by side (ConcurrentRunner), so a Session may be shared
+// between goroutines.
 type Session interface {
 	// Run executes the batch to completion and returns the accumulated
 	// result. The output is deterministic in the configured seed.
@@ -258,6 +260,26 @@ func SupportsHeartbeats(name string) bool {
 	}
 	h, ok := b.(Heartbeater)
 	return ok && h.Heartbeats()
+}
+
+// ConcurrentRunner is an optional Backend capability: backends whose
+// sessions run overlapping Run/Stream calls side by side, instead of
+// serializing them, implement it (returning true). A serving layer may
+// then dispatch several batches of one session at once; for a
+// serializing session a second batch would only queue on its lock.
+type ConcurrentRunner interface {
+	RunsConcurrently() bool
+}
+
+// RunsConcurrently reports whether the named backend declares the
+// concurrent-run capability. Unknown names report false.
+func RunsConcurrently(name string) bool {
+	b, err := Lookup(name)
+	if err != nil {
+		return false
+	}
+	c, ok := b.(ConcurrentRunner)
+	return ok && c.RunsConcurrently()
 }
 
 // MemoryTierer is an optional Backend capability: backends that honor

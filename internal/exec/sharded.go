@@ -48,6 +48,10 @@ func (shardedBackend) SupportsVersionedGraphs() bool { return true }
 // on every finished walk.
 func (shardedBackend) Heartbeats() bool { return true }
 
+// RunsConcurrently implements ConcurrentRunner: the session's runs share
+// a read lock, so overlapping batches run side by side.
+func (shardedBackend) RunsConcurrently() bool { return true }
+
 // defaultShards picks a shard count when the config leaves it zero: one
 // shard per core up to 8 (beyond that, cut-edge traffic outgrows the
 // locality win on the graphs this repository generates), clamped to the

@@ -30,8 +30,10 @@
 //     Backend interface and is selected by name (Backends, OpenBackend).
 //     Sessions run query batches (Session.Run) or stream each finished
 //     walk through a callback without materializing all paths
-//     (Session.Stream). Service adds request coalescing (max batch size +
-//     linger), cached sessions with a fixed worker pool whose reused path
+//     (Session.Stream). Service adds work-conserving request coalescing
+//     (a configuration whose engine has room dispatches at once; requests
+//     arriving while it runs share the next batch, up to a max batch
+//     size), cached sessions with a fixed worker pool whose reused path
 //     buffers and RNG streams make the CPU hot path allocation-free, and
 //     per-backend/per-algorithm served-query metrics.
 //

@@ -48,19 +48,16 @@ type ServiceConfig struct {
 	MemoryBudgetBytes int64
 	// MaxBatch is the flush threshold for request coalescing: a pending
 	// group is dispatched as soon as its accumulated queries reach this
-	// size instead of waiting out the linger. It bounds how much
-	// co-batched work a request can pick up, not the size of a backend
-	// dispatch — a single request larger than MaxBatch is dispatched
-	// whole. Default 4096.
+	// size instead of waiting for its configuration's running group to
+	// finish. It bounds how much co-batched work a request can pick up,
+	// not the size of a backend dispatch — a single request larger than
+	// MaxBatch is dispatched whole. Default 4096.
 	MaxBatch int
 	// MaxSessions caps the cached backend sessions (one per distinct walk
 	// configuration, each holding samplers and worker buffers). The least
 	// recently used idle session is evicted and closed when the cap is
 	// exceeded. Default 16.
 	MaxSessions int
-	// Linger bounds how long a submitted request may wait for co-batched
-	// work before its group is flushed anyway. Default 500µs.
-	Linger time.Duration
 	// MaxInFlight bounds admitted-but-unfinished queries across the
 	// service; excess load is rejected immediately with ErrOverloaded
 	// instead of queueing without bound. 0 disables the budget (admit
@@ -146,10 +143,21 @@ type ServiceMetrics struct {
 
 // Service is a long-lived walk-serving frontend over one graph and one
 // execution backend. Concurrent Submit calls with the same walk
-// configuration are coalesced into shared backend batches (bounded by
-// MaxBatch and Linger), sessions are cached per configuration so samplers
-// and worker state are reused across requests, and per-backend /
-// per-algorithm served-query metrics are tracked.
+// configuration are coalesced into shared backend batches, sessions are
+// cached per configuration so samplers and worker state are reused across
+// requests, and per-backend / per-algorithm served-query metrics are
+// tracked.
+//
+// Coalescing is work-conserving, per coalescing key: a request whose
+// configuration has a free slot is dispatched at once, and requests
+// arriving while every slot runs gather into one pending group that is
+// dispatched the moment a running group finishes (or when it reaches
+// MaxBatch). A key has one slot when its session serializes its runs —
+// a second group would only wait on the session's lock, where it could
+// gather nothing more — and one per dispatcher worker when the session
+// runs batches side by side (cpu-sharded). Nothing waits on a clock:
+// batching only while the key's engine is busy costs a request at most
+// one run of its own class.
 //
 // Results are deterministic per request: each query's walk depends only on
 // the configured seed, the query ID, and the start vertex — never on how
@@ -185,12 +193,17 @@ type Service struct {
 	sessions map[string]*sessionEntry
 	seq      int64 // LRU clock for session eviction
 	pending  map[string]*batchGroup
+	// running counts each key's dispatched-but-unfinished groups: a
+	// Submit dispatches at once while its key has a free slot (keySlots),
+	// and the worker that finishes a key's group dispatches its pending
+	// one.
+	running  map[string]int
 	closed   bool
 	inflight sync.WaitGroup
 
 	// The flush queue feeds detached batch groups to the fixed dispatcher
 	// pool. Groups used to get one spawned goroutine each, which a flush
-	// burst (many distinct configurations lingering out at once) turned
+	// burst (many distinct configurations dispatching at once) turned
 	// into unbounded goroutine growth; now group execution is bounded at
 	// Workers pool goroutines and enqueueing never blocks (a
 	// mutex-guarded FIFO, so no hand-off goroutines pile up behind a full
@@ -332,7 +345,7 @@ type sessionEntry struct {
 // serving view (base CSR + overlay snapshot + epoch) is resolved once,
 // when the group is created; the epoch is part of the group key, so
 // every co-batched request shares one consistent view even if mutations
-// land while the group lingers.
+// land while the group waits for its key's running group.
 type batchGroup struct {
 	cfg      WalkConfig
 	lane     int
@@ -341,7 +354,8 @@ type batchGroup struct {
 	epoch    uint64
 	requests []*request
 	queries  int
-	timer    *time.Timer
+	// slots is how many of its key's groups may run at once (keySlots).
+	slots int
 	// born is when the group's first request was admitted; queued is how
 	// long the flushed group waited for a free dispatcher worker. The
 	// admission controller's feedback window is the time a group's slots
@@ -518,9 +532,6 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 	if cfg.MaxBatch < 1 {
 		return nil, fmt.Errorf("ridgewalker: service max batch %d, want >= 1", cfg.MaxBatch)
 	}
-	if cfg.Linger == 0 {
-		cfg.Linger = 500 * time.Microsecond
-	}
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = 16
 	}
@@ -559,6 +570,7 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 		cfg:      cfg,
 		sessions: map[string]*sessionEntry{},
 		pending:  map[string]*batchGroup{},
+		running:  map[string]int{},
 		qcounts:  map[uint64]int{},
 		watched:  map[*batchGroup]*watchEntry{},
 		metrics: ServiceMetrics{
@@ -740,7 +752,46 @@ func (s *Service) flushWorker() {
 		s.flushMu.Unlock()
 		j.grp.queued = time.Since(j.queuedAt)
 		s.runGroup(j.key, j.grp)
+		s.finishGroup(j.key, j.grp.slots)
 		s.inflight.Done()
+	}
+}
+
+// keySlots is how many of grp's key's groups may run at once. A session
+// that serializes its runs (the cpu engines, the simulators) gets one: a
+// second group would only queue on its lock, where it could gather no
+// more requests. A session that runs batches side by side (cpu-sharded)
+// gets one per dispatcher worker.
+func (s *Service) keySlots(grp *batchGroup) int {
+	backend := s.cfg.Backend
+	if grp.planned {
+		backend = grp.plan.Backend
+	}
+	if exec.RunsConcurrently(backend) {
+		return s.cfg.Workers
+	}
+	return 1
+}
+
+// finishGroup retires one of key's running groups. That frees one of the
+// key's slots, so the group that gathered behind it (if any) is
+// dispatched now. Called before the finished group's inflight.Done, so
+// the next group registers with inflight while the count cannot reach
+// zero and Close cannot return without running it.
+func (s *Service) finishGroup(key string, slots int) {
+	s.mu.Lock()
+	s.running[key]--
+	n := s.running[key]
+	if n == 0 {
+		delete(s.running, key)
+	}
+	var next *batchGroup
+	if n < slots {
+		next = s.pending[key]
+	}
+	s.mu.Unlock()
+	if next != nil {
+		s.flush(key, next)
 	}
 }
 
@@ -1030,18 +1081,18 @@ func (s *Service) Submit(ctx context.Context, cfg WalkConfig, queries []Query) (
 	grp := s.pending[key]
 	if grp == nil {
 		grp = newBatchGroup(cfg, base, snap, epoch, planned, pl)
+		grp.slots = s.keySlots(grp)
 		s.pending[key] = grp
-		grp.timer = time.AfterFunc(s.cfg.Linger, func() { s.flush(key, grp) })
 	}
 	grp.requests = append(grp.requests, req)
 	grp.addMember(ctx)
 	grp.queries += len(queries)
-	full := grp.queries >= s.cfg.MaxBatch
-	if full {
-		grp.timer.Stop()
-	}
+	// Work-conserving: a key with a free slot dispatches at once; a busy
+	// one batches until one of its running groups finishes (finishGroup)
+	// or the group fills.
+	dispatch := s.running[key] < grp.slots || grp.queries >= s.cfg.MaxBatch
 	s.mu.Unlock()
-	if full {
+	if dispatch {
 		s.flush(key, grp)
 	}
 
@@ -1057,12 +1108,14 @@ func (s *Service) Submit(ctx context.Context, cfg WalkConfig, queries []Query) (
 	}
 }
 
-// flush dispatches a pending group. The first of the two triggers (linger
-// timer, size cap) wins; the group is detached under the lock so the
-// other trigger finds it gone. The group is appended to the dispatcher
-// pool's queue — a non-blocking O(1) enqueue, so Submit returns to its
-// context select immediately and no goroutine ever parks on a hand-off —
-// and executed by one of the Workers pool goroutines. The group is
+// flush dispatches a pending group. The first trigger (a Submit finding
+// a free slot or the group full, the worker finishing one of the key's
+// running groups) wins; the group is detached under the lock so the other
+// finds it gone, and it counts as running for its key from then until
+// finishGroup. The group is appended to the dispatcher pool's
+// queue — a non-blocking O(1) enqueue, so Submit returns to its context
+// select immediately and no goroutine ever parks on a hand-off — and
+// executed by one of the Workers pool goroutines. The group is
 // registered with inflight before it is queued, so Close cannot return
 // before a worker has run it.
 func (s *Service) flush(key string, grp *batchGroup) {
@@ -1072,6 +1125,7 @@ func (s *Service) flush(key string, grp *batchGroup) {
 		return
 	}
 	delete(s.pending, key)
+	s.running[key]++
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	// Detached: no more joiners, so all-members-canceled may now cancel
@@ -1249,9 +1303,10 @@ func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) er
 		grp.setStage("deliver")
 		service := time.Since(start)
 		s.admit.Observe(len(all), service, time.Since(grp.born)-grp.queued)
+		subs := make([]*Result, len(grp.requests))
 		lo := 0
 		var steps int64
-		for _, r := range grp.requests {
+		for i, r := range grp.requests {
 			hi := lo + len(r.queries)
 			sub := &Result{Paths: res.Paths[lo:hi:hi]}
 			if len(grp.requests) > 1 {
@@ -1261,15 +1316,20 @@ func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) er
 				sub.Steps += int64(len(p) - 1)
 			}
 			steps += sub.Steps
-			s.deliver(grp, r, reply{res: sub})
+			subs[i] = sub
 			lo = hi
 		}
+		// Recorded before any reply goes out, so a submitter that reads
+		// Metrics the moment it hears back sees its own batch counted.
 		s.record(backend, grp.cfg.Algorithm, grp.epoch, Counter{
 			Requests: int64(len(grp.requests)),
 			Queries:  int64(grp.queries),
 			Steps:    steps,
 			Batches:  1,
 		})
+		for i, r := range grp.requests {
+			s.deliver(grp, r, reply{res: subs[i]})
+		}
 		return nil
 	}
 	var firstErr error
@@ -1290,13 +1350,13 @@ func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) er
 		}
 		grp.setStage("deliver")
 		s.admit.Observe(len(r.queries), time.Since(start), 0)
-		s.deliver(grp, r, reply{res: &Result{Paths: res.Paths, Steps: res.Steps}})
 		s.record(backend, grp.cfg.Algorithm, grp.epoch, Counter{
 			Requests: 1,
 			Queries:  int64(len(r.queries)),
 			Steps:    res.Steps,
 			Batches:  1,
 		})
+		s.deliver(grp, r, reply{res: &Result{Paths: res.Paths, Steps: res.Steps}})
 	}
 	return firstErr
 }
@@ -1734,16 +1794,18 @@ func (s *Service) Close() error {
 	s.closed = true
 	groups := make(map[string]*batchGroup, len(s.pending))
 	for k, g := range s.pending {
-		g.timer.Stop()
 		groups[k] = g
 	}
 	s.mu.Unlock()
 	for k, g := range groups {
-		// flush re-checks membership; pending was not cleared, so detach
-		// manually then run inline. Each group either drains normally
-		// (some submitter still waits) or — when every member already
-		// canceled — sheds via its joined context; either way every
-		// request gets a reply and no group is silently dropped.
+		// A worker finishing k's running group may flush g first, so
+		// detach only if g is still pending, then run inline (beside any
+		// running group of k: the session serializes them or, for a
+		// concurrent session, runs them side by side). Each group
+		// either drains normally (some submitter still waits) or — when
+		// every member already canceled — sheds via its joined context;
+		// either way every request gets a reply and no group is silently
+		// dropped.
 		s.mu.Lock()
 		if s.pending[k] == g {
 			delete(s.pending, k)

@@ -73,7 +73,7 @@ func TestServiceCanceledSubmitShedsEngineWork(t *testing.T) {
 
 // TestServiceCloseUnderSubmitBurst pins Close's contract under load: with
 // submitters racing Close across many distinct configurations (so groups
-// are queued, lingering, and flushing at the instant the service closes),
+// are queued, pending, and flushing at the instant the service closes),
 // every Submit must return — a result, the typed ErrServiceClosed, or an
 // admission shed — and Close must drain without deadlocking or dropping
 // a reply. Run under -race in CI.
@@ -83,7 +83,6 @@ func TestServiceCloseUnderSubmitBurst(t *testing.T) {
 		Backend:     "cpu",
 		MaxInFlight: 512, // small static budget: the burst also exercises shedding
 		MaxBatch:    8,
-		Linger:      200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,6 @@ func TestServiceLaneStarvationFreedom(t *testing.T) {
 		Backend:           "cpu",
 		Workers:           1, // one dispatcher: drain order is exactly the WRR order
 		MaxBatch:          1, // every request is its own group
-		Linger:            50 * time.Microsecond,
 		InteractiveWeight: 4,
 		BulkWeight:        1,
 	})
@@ -349,7 +347,16 @@ func TestServiceSubmitRejectsExpiredDeadline(t *testing.T) {
 		_, _ = svc.Submit(context.Background(), busy, qs)
 	}()
 	defer wg.Wait()
-	deadline := time.Now().Add(25 * time.Millisecond)
+	// The busy request is dispatched the moment it is admitted, so wait
+	// until it holds its slots: only queued work makes the wait nonzero.
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.AdmissionStatus().InFlight < len(qs) {
+		if time.Now().After(deadline) {
+			t.Fatal("the busy request was never admitted")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	deadline = time.Now().Add(25 * time.Millisecond)
 	for {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		_, err = svc.Submit(ctx, cfg, qs)
@@ -382,7 +389,6 @@ func TestServiceClosedLoopNeverRefusesItself(t *testing.T) {
 	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
 		Backend:     "cpu",
 		MaxInFlight: len(qs),
-		Linger:      time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

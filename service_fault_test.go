@@ -85,7 +85,6 @@ func TestChaosMatrix(t *testing.T) {
 						Workers: 2,
 						// All-cold tiered stores put ColdDecode on the hot path.
 						MemoryBudgetBytes:   -1,
-						Linger:              100 * time.Microsecond,
 						QuarantineThreshold: -1, // retries must pass the front door
 						WatchdogInterval:    -1,
 					})
@@ -482,7 +481,6 @@ func TestEDFDispatchOrder(t *testing.T) {
 	svc, err := NewService(g, ServiceConfig{
 		Backend:          "test-recorder",
 		Workers:          1,
-		Linger:           time.Millisecond,
 		WatchdogInterval: -1,
 	})
 	if err != nil {

@@ -42,7 +42,6 @@ func TestServiceEvictionChurnConcurrent(t *testing.T) {
 		Backend:     "cpu",
 		MaxSessions: 2,
 		Workers:     2,
-		Linger:      100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +196,6 @@ func TestServiceCloseRacesInflight(t *testing.T) {
 		svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
 			Backend: "cpu",
 			Workers: 2,
-			Linger:  50 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +274,6 @@ func TestServiceMetricsUnderConcurrency(t *testing.T) {
 	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
 		Backend:     "cpu",
 		MaxSessions: 2,
-		Linger:      200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +330,6 @@ func TestServiceBurstFlushStress(t *testing.T) {
 		Backend:  "cpu",
 		Workers:  2,
 		MaxBatch: 1, // every submission fills its group: maximal flush rate
-		Linger:   50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
-	"unsafe"
 
 	"ridgewalker"
 )
@@ -72,133 +69,6 @@ func TestServiceMatchesGoldenEngine(t *testing.T) {
 				t.Fatal("Stream output differs from Walk")
 			}
 		})
-	}
-}
-
-// TestServiceConcurrentDeterminism submits many concurrent requests that
-// coalesce into shared batches and checks every requester gets exactly the
-// result a solo run would produce — batching must never bleed across
-// requests.
-func TestServiceConcurrentDeterminism(t *testing.T) {
-	g := serviceTestGraph(t)
-	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
-		Backend:  "cpu",
-		MaxBatch: 512,
-		Linger:   2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.URW)
-	cfg.WalkLength = 15
-	cfg.Seed = 7
-	// 24 requests with distinct (overlapping-ID) query slices.
-	const requests = 24
-	all, err := ridgewalker.RandomQueries(g, cfg, 120*requests, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]*ridgewalker.Result, requests)
-	for r := 0; r < requests; r++ {
-		want[r], err = ridgewalker.Walk(g, all[r*120:(r+1)*120], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]*ridgewalker.Result, requests)
-	errs := make([]error, requests)
-	var wg sync.WaitGroup
-	for r := 0; r < requests; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			got[r], errs[r] = svc.Submit(context.Background(), cfg, all[r*120:(r+1)*120])
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < requests; r++ {
-		if errs[r] != nil {
-			t.Fatalf("request %d: %v", r, errs[r])
-		}
-		if !reflect.DeepEqual(got[r].Paths, want[r].Paths) {
-			t.Fatalf("request %d result depends on batch composition", r)
-		}
-	}
-	m := svc.Metrics()
-	c := m.PerAlgorithm["URW"]
-	if c.Requests != requests || c.Queries != 120*requests {
-		t.Fatalf("metrics: %+v", c)
-	}
-	if c.Batches >= requests {
-		t.Fatalf("no coalescing happened: %d batches for %d requests", c.Batches, requests)
-	}
-	if m.PerBackend["cpu"].Steps == 0 {
-		t.Fatal("no steps recorded")
-	}
-}
-
-// TestServiceReplyOwnsItsPaths pins that a coalesced request's reply
-// holds its paths in storage of its own: the engine packs a batch's paths
-// into shared slabs in the order walks finish, and a caller that keeps
-// one reply must not keep its co-batched strangers' paths alive with it.
-func TestServiceReplyOwnsItsPaths(t *testing.T) {
-	g := serviceTestGraph(t)
-	const requests, per = 4, 100
-	svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
-		Backend:  "cpu-pipelined",
-		MaxBatch: requests * per, // the last joiner flushes the group
-		Linger:   time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.URW)
-	cfg.WalkLength = 15
-	cfg.Seed = 7
-	all, err := ridgewalker.RandomQueries(g, cfg, requests*per, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]*ridgewalker.Result, requests)
-	errs := make([]error, requests)
-	var wg sync.WaitGroup
-	for r := 0; r < requests; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			got[r], errs[r] = svc.Submit(context.Background(), cfg, all[r*per:(r+1)*per])
-		}(r)
-	}
-	wg.Wait()
-	if b := svc.Metrics().PerAlgorithm["URW"].Batches; b != 1 {
-		t.Fatalf("%d batches for %d requests, want one coalesced group", b, requests)
-	}
-	for r := 0; r < requests; r++ {
-		if errs[r] != nil {
-			t.Fatalf("request %d: %v", r, errs[r])
-		}
-		want, err := ridgewalker.Walk(g, all[r*per:(r+1)*per], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[r].Paths, want.Paths) {
-			t.Fatalf("request %d differs from the golden engine", r)
-		}
-		// One buffer per reply: every path ends where the next begins, and
-		// none has room to spare.
-		for i, p := range got[r].Paths {
-			if cap(p) != len(p) {
-				t.Fatalf("request %d path %d: cap %d beyond len %d", r, i, cap(p), len(p))
-			}
-			if i+1 < len(got[r].Paths) {
-				end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(p)), len(p)*int(unsafe.Sizeof(p[0])))
-				if next := unsafe.Pointer(unsafe.SliceData(got[r].Paths[i+1])); next != end {
-					t.Fatalf("request %d: path %d does not follow path %d in one buffer", r, i+1, i)
-				}
-			}
-		}
 	}
 }
 

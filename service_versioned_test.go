@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"ridgewalker"
 	"ridgewalker/internal/sampling"
@@ -151,7 +150,6 @@ func TestServiceMutateWhileServingRace(t *testing.T) {
 			svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
 				Backend: backend,
 				Workers: 2,
-				Linger:  200 * time.Microsecond,
 			})
 			if err != nil {
 				t.Fatal(err)
