@@ -118,7 +118,7 @@ func run() error {
 				return err
 			}
 			mark := ""
-			if ridgewalker.BackendSupportsMemoryTiering(name) {
+			if ridgewalker.BackendCapabilities(name).MemoryTiering {
 				mark = "  [tiered-mem]"
 			}
 			if name == "auto" {

@@ -1,6 +1,8 @@
 // Quickstart: build a small graph, run uniform random walks on the
 // cycle-level RidgeWalker model, and serve the same workload through the
-// batched walk service.
+// batched walk service. The pipelined engine's walks and every service
+// reply are checked against the software engine; the program exits
+// non-zero on the first divergence.
 //
 //	go run ./examples/quickstart
 package main
@@ -9,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
 	"ridgewalker"
@@ -66,6 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	mustMatch("pipelined engine", pl.Paths, sw.Paths)
 	fmt.Printf("pipelined engine took %d steps (byte-identical walks)\n", pl.Steps)
 
 	// Serving mode: a Service coalesces concurrent requests into shared
@@ -83,16 +87,29 @@ func main() {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			part := queries[r*250 : (r+1)*250]
-			res, err := svc.Submit(context.Background(), cfg, part)
+			lo, hi := r*250, (r+1)*250
+			res, err := svc.Submit(context.Background(), cfg, queries[lo:hi])
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("request %d: %d walks, %d steps\n", r, len(res.Paths), res.Steps)
+			mustMatch(fmt.Sprintf("request %d", r), res.Paths, sw.Paths[lo:hi])
+			fmt.Printf("request %d: %d walks, %d steps (byte-identical walks)\n", r, len(res.Paths), res.Steps)
 		}(r)
 	}
 	wg.Wait()
 	m := svc.Metrics()
 	fmt.Printf("service metrics: %+v over %d batches\n",
 		m.PerAlgorithm["URW"], m.PerBackend["cpu"].Batches)
+}
+
+// mustMatch exits non-zero unless got holds exactly the walks in want.
+func mustMatch(what string, got, want [][]ridgewalker.VertexID) {
+	if len(got) != len(want) {
+		log.Fatalf("%s: %d walks, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			log.Fatalf("%s: walk %d diverged from the software engine:\n got %v\nwant %v", what, i, got[i], want[i])
+		}
+	}
 }

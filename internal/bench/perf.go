@@ -543,7 +543,8 @@ func measure(backend string, g *graph.CSR, wcfg walk.Config, qs []walk.Query, sh
 	if warm < 1 {
 		warm = 1
 	}
-	if _, err := ses.Run(context.Background(), exec.Batch{Queries: qs[:warm]}); err != nil {
+	warmRes, err := ses.Run(context.Background(), exec.Batch{Queries: qs[:warm]})
+	if err != nil {
 		return PerfRecord{}, err
 	}
 	best := PerfRecord{
@@ -557,13 +558,11 @@ func measure(backend string, g *graph.CSR, wcfg walk.Config, qs []walk.Query, sh
 		SamplerBytes: samplerBytes,
 		MemBudget:    budget,
 	}
-	if reporter, ok := ses.(exec.MemoryReporter); ok && budget != 0 {
-		if m := reporter.MemoryReport(); m != nil {
-			best.GraphBytes = m.GraphBytes
-			best.SamplerBytesTiered = m.SamplerBytes
-			if resident := m.TotalBytes(); resident > 0 {
-				best.CompressionRatio = float64(m.GraphFlatBytes+m.SamplerFlatBytes) / float64(resident)
-			}
+	if m := warmRes.Memory; m != nil && budget != 0 {
+		best.GraphBytes = m.GraphBytes
+		best.SamplerBytesTiered = m.SamplerBytes
+		if resident := m.TotalBytes(); resident > 0 {
+			best.CompressionRatio = float64(m.GraphFlatBytes+m.SamplerFlatBytes) / float64(resident)
 		}
 	}
 	for i := 0; i < repeat; i++ {

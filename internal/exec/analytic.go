@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ridgewalker/internal/baselines"
 	"ridgewalker/internal/graph"
@@ -52,24 +51,23 @@ func (b analyticBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if cfg.Snapshot != nil {
 		return nil, fmt.Errorf("exec: backend %q does not serve versioned-graph snapshots (compact the graph first)", b.name)
 	}
-	inner, err := cpuBackend{}.Open(g, cfg)
+	inner, err := Open("cpu", g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &analyticSession{backend: b, g: g, cfg: cfg, cpu: inner.(*cpuSession)}, nil
+	return &analyticSession{cpuSession: inner.(*cpuSession), backend: b, g: g, cfg: cfg}, nil
 }
 
+// analyticSession is the cpu session it walks on, with Run pricing the
+// batch's trace; Stream, Close and SamplerBytes are the cpu session's.
 type analyticSession struct {
-	mu      sync.Mutex // serializes trace accumulation per batch
+	*cpuSession
 	backend analyticBackend
 	g       *graph.CSR
 	cfg     Config
-	cpu     *cpuSession
 }
 
 func (s *analyticSession) Run(ctx context.Context, batch Batch) (*BatchResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Stream the walks off the golden engine — the models price lengths and
 	// degrees, so paths are only kept when the caller asked for them. Walk
 	// lengths are recorded by batch index: the GPU model assigns walks to
@@ -82,7 +80,7 @@ func (s *analyticSession) Run(ctx context.Context, batch Batch) (*BatchResult, e
 	if !s.cfg.DiscardPaths {
 		res.Paths = make([][]graph.VertexID, n)
 	}
-	err := s.cpu.streamIndexed(ctx, batch, func(i int, w WalkOutput) error {
+	err := s.streamIndexed(ctx, batch, func(i int, w WalkOutput) error {
 		hops[i] = len(w.Path) - 1
 		res.Steps += w.Steps
 		for _, v := range w.Path {
@@ -105,11 +103,3 @@ func (s *analyticSession) Run(ctx context.Context, batch Batch) (*BatchResult, e
 	res.Model = &model
 	return res, nil
 }
-
-func (s *analyticSession) Stream(ctx context.Context, batch Batch, fn func(WalkOutput) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cpu.Stream(ctx, batch, fn)
-}
-
-func (s *analyticSession) Close() error { return s.cpu.Close() }

@@ -26,22 +26,10 @@ func (autoBackend) Description() string {
 	return "planned CPU engine: cpu-pipelined at the pinned -cohort or the default 256 (see -explain-plan)"
 }
 
-// MergesBatches implements BatchMerger: every engine the planner can
-// choose is in the CPU family, whose per-query RNG streams make walks
-// independent of batch composition.
-func (autoBackend) MergesBatches() bool { return true }
-
-// SupportsMemoryTiering implements MemoryTierer: the budget passes
-// through to the chosen engine unchanged (all candidates honor it).
-func (autoBackend) SupportsMemoryTiering() bool { return true }
-
-// SupportsVersionedGraphs implements VersionedGrapher: all candidate
-// engines serve epoch snapshots.
-func (autoBackend) SupportsVersionedGraphs() bool { return true }
-
-// Heartbeats implements Heartbeater: every engine the planner can choose
-// is in the CPU family, all of which bump Batch.Heartbeat.
-func (autoBackend) Heartbeats() bool { return true }
+// Capabilities are the cpu family's. Both engines the planner chooses
+// (cpu-pipelined, and cpu after a breaker demotion) serialize their
+// runs, so auto declares no ConcurrentRuns.
+func (autoBackend) Capabilities() Capabilities { return cpuCaps }
 
 func (autoBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 	if cfg.Shards != 0 {
@@ -191,14 +179,6 @@ func (s *autoSession) SamplerBytes() int64 {
 		return sz.SamplerBytes()
 	}
 	return 0
-}
-
-// MemoryReport delegates the chosen session's tiered-memory accounting.
-func (s *autoSession) MemoryReport() *MemoryReport {
-	if mr, ok := s.inner.(interface{ MemoryReport() *MemoryReport }); ok {
-		return mr.MemoryReport()
-	}
-	return nil
 }
 
 func init() {

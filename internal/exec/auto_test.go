@@ -99,13 +99,9 @@ func TestAutoRespectsMemoryBudget(t *testing.T) {
 }
 
 // TestAutoSessionCapabilities: the wrapper must pass the chosen
-// session's capabilities through — sampler sizing and the plan report —
-// and the backend itself must declare the cpu-family capabilities its
-// delegates hold.
+// session's capabilities through — sampler sizing and the plan report.
+// (TestBackendCapabilities pins the backend's declared Capabilities.)
 func TestAutoSessionCapabilities(t *testing.T) {
-	if !MergesBatches("auto") || !SupportsMemoryTiering("auto") || !SupportsVersionedGraphs("auto") {
-		t.Fatal("auto must declare the cpu-family capabilities")
-	}
 	g := testGraph(t)
 	cfg, _ := testWorkload(t, g, walk.DeepWalk, 10)
 	ses, err := Open("auto", g, Config{Walk: cfg})

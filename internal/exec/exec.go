@@ -1,5 +1,5 @@
 // Package exec is the unified execution layer: every way this repository
-// can run a graph-random-walk workload — the multi-core CPU engine, the
+// can run a graph-random-walk workload — the multi-core CPU engines, the
 // cycle-level RidgeWalker accelerator simulator, and the modeled baseline
 // systems — is exposed behind one Backend interface and selected by a
 // string key.
@@ -9,18 +9,27 @@
 //   - A Backend is a named engine factory. Open binds it to a graph and a
 //     configuration, performing all per-workload setup (sampler and alias
 //     table construction, simulator instantiation, worker allocation) once.
+//     Its Capabilities (batch merging, heartbeats, concurrent runs, memory
+//     tiering) are read by name through CapabilitiesOf.
 //   - A Session is a bound, reusable executor. Run executes a query batch
 //     and returns the accumulated BatchResult; Stream executes the batch
 //     and delivers each finished walk through a callback instead, so
 //     arbitrarily large workloads run without materializing all paths.
-//   - The registry maps backend names ("cpu", "cpu-sharded", "ridgewalker",
-//     "lightrw", "suetal", "fastrw", "gsampler") to Backend values; higher layers —
-//     the public ridgewalker.Service, the cmd/ridgewalker CLI, and the
-//     internal/bench figure drivers — select engines by name only.
+//   - The registry maps backend names ("auto", "cpu", "cpu-pipelined",
+//     "cpu-sharded", "ridgewalker", "lightrw", "suetal", "fastrw",
+//     "gsampler") to Backend values; higher layers — the public
+//     ridgewalker.Service, the cmd/ridgewalker CLI, and the internal/bench
+//     figure drivers — select engines by name only.
+//
+// The three cpu-family backends share one session: the sampler and
+// tiered-store borrows around an engine-specific stepping loop (the
+// walk.Walker chunk loop, the walk.Pipeline cohort loop, or the shard
+// engine). "auto" opens one of them under a plan; the analytic baselines
+// price the walks of a cpu session.
 //
 // Sessions are safe for concurrent use: calls on one Session are
-// serialized internally (or, for ConcurrentRunner backends, run side by
-// side), so a service layer can cache and share them.
+// serialized internally (or, for backends with ConcurrentRuns, run side
+// by side), so a service layer can cache and share them.
 package exec
 
 import (
@@ -49,8 +58,11 @@ type Config struct {
 	Platform hbm.Platform
 
 	// Workers sets the CPU backends' worker-pool size. 0 means
-	// runtime.GOMAXPROCS(0). Each worker owns a reused path buffer and RNG
-	// stream, so the hot path allocates nothing per step.
+	// runtime.GOMAXPROCS(0), capped on cpu-sharded at
+	// shard.MaxMeshWorkers (its migration mesh is quadratic in the worker
+	// count, and a larger mesh is refused). Each worker owns a reused
+	// path buffer and RNG stream, so the hot path allocates nothing per
+	// step.
 	Workers int
 
 	// Shards sets the cpu-sharded backend's partition count: the graph is
@@ -95,9 +107,8 @@ type Config struct {
 	// — so opening against a snapshot costs O(dirty edges), not O(E).
 	// Under a memory budget the graph tier gets the whole budget (tiered
 	// alias rows cannot be incrementally rebuilt; draws are identical
-	// either way). Only the CPU backends support snapshots
-	// (SupportsVersionedGraphs); the simulator and analytic backends
-	// reject them.
+	// either way). Only the CPU backends serve snapshots; the simulator
+	// and analytic backends reject them at Open.
 	Snapshot *graph.Snapshot
 
 	// DiscardPaths drops per-query paths from Run results (throughput
@@ -138,7 +149,7 @@ type Batch struct {
 	Queries []walk.Query
 
 	// Heartbeat, when non-nil, is incremented by heartbeat-capable
-	// sessions (SupportsHeartbeats) at their cooperative-stop
+	// sessions (Capabilities.Heartbeats) at their cooperative-stop
 	// checkpoints — every 64 walks on the flat engine, every cohort
 	// pass on the pipeline, every finished walk on the sharded engine.
 	// Serving-layer watchdogs watch the counter to tell a slow batch
@@ -182,8 +193,9 @@ type BatchResult struct {
 
 // Session is a backend bound to one graph and configuration, reusable
 // across batches. Implementations serialize Run/Stream internally, or run
-// them side by side (ConcurrentRunner), so a Session may be shared
-// between goroutines.
+// them side by side (Capabilities.ConcurrentRuns), so a Session may be
+// shared between goroutines. The cpu family has one implementation;
+// optional Session capabilities are SamplerSizer and PlanReporter.
 type Session interface {
 	// Run executes the batch to completion and returns the accumulated
 	// result. The output is deterministic in the configured seed.
@@ -219,105 +231,41 @@ type SamplerSizer interface {
 	SamplerBytes() int64
 }
 
-// BatchMerger is an optional Backend capability: backends whose walks
-// depend only on (seed, query ID, start vertex) — never on batch
-// composition — implement it (returning true) to let serving layers
-// coalesce concurrent requests into one Session.Run dispatch. Backends
-// without the capability (simulators routing walks through shared
-// pipelines, models requiring unique query IDs per batch) are dispatched
-// per request.
-type BatchMerger interface {
-	MergesBatches() bool
+// Capabilities are what a backend's sessions guarantee beyond the
+// Session contract; serving layers and CLI listings key on them. A
+// backend declares them through an optional Capabilities() method.
+type Capabilities struct {
+	// MergesBatches: walks depend only on (seed, query ID, start vertex),
+	// never on batch composition, so serving layers may coalesce
+	// concurrent requests into one Run. Backends without it (simulators
+	// routing walks through shared pipelines, models requiring unique
+	// query IDs per batch) are dispatched per request.
+	MergesBatches bool
+	// Heartbeats: sessions bump Batch.Heartbeat at cooperative-stop
+	// checkpoints, which licenses a serving-layer watchdog to treat a
+	// flat heartbeat as "wedged" and cancel the batch. Backends without
+	// it are never watchdog-killed.
+	Heartbeats bool
+	// ConcurrentRuns: sessions run overlapping Run/Stream calls side by
+	// side instead of serializing them, so a serving layer may dispatch
+	// several batches of one session at once.
+	ConcurrentRuns bool
+	// MemoryTiering: the backend honors Config.MemoryBudgetBytes,
+	// serving walks through the tiered graph and sampler stores.
+	MemoryTiering bool
 }
 
-// MergesBatches reports whether the named backend declares the
-// batch-merge capability. Unknown names report false.
-func MergesBatches(name string) bool {
+// CapabilitiesOf returns the named backend's declared capabilities: the
+// zero value for a backend that declares none and for unknown names.
+func CapabilitiesOf(name string) Capabilities {
 	b, err := Lookup(name)
 	if err != nil {
-		return false
+		return Capabilities{}
 	}
-	m, ok := b.(BatchMerger)
-	return ok && m.MergesBatches()
-}
-
-// Heartbeater is an optional Backend capability: backends whose sessions
-// bump Batch.Heartbeat at cooperative-stop checkpoints implement it
-// (returning true), which is what licenses a serving-layer watchdog to
-// treat a flat heartbeat as "wedged" and cancel the batch. Backends
-// without the capability (simulators, analytic models) are never
-// watchdog-killed.
-type Heartbeater interface {
-	Heartbeats() bool
-}
-
-// SupportsHeartbeats reports whether the named backend declares the
-// heartbeat capability. Unknown names report false.
-func SupportsHeartbeats(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
+	if c, ok := b.(interface{ Capabilities() Capabilities }); ok {
+		return c.Capabilities()
 	}
-	h, ok := b.(Heartbeater)
-	return ok && h.Heartbeats()
-}
-
-// ConcurrentRunner is an optional Backend capability: backends whose
-// sessions run overlapping Run/Stream calls side by side, instead of
-// serializing them, implement it (returning true). A serving layer may
-// then dispatch several batches of one session at once; for a
-// serializing session a second batch would only queue on its lock.
-type ConcurrentRunner interface {
-	RunsConcurrently() bool
-}
-
-// RunsConcurrently reports whether the named backend declares the
-// concurrent-run capability. Unknown names report false.
-func RunsConcurrently(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
-	}
-	c, ok := b.(ConcurrentRunner)
-	return ok && c.RunsConcurrently()
-}
-
-// MemoryTierer is an optional Backend capability: backends that honor
-// Config.MemoryBudgetBytes — serving walks through the tiered graph and
-// sampler stores — implement it (returning true) so CLI listings and
-// serving layers can tell which engines the budget knob reaches.
-type MemoryTierer interface {
-	SupportsMemoryTiering() bool
-}
-
-// SupportsMemoryTiering reports whether the named backend declares the
-// tiered-memory capability. Unknown names report false.
-func SupportsMemoryTiering(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
-	}
-	m, ok := b.(MemoryTierer)
-	return ok && m.SupportsMemoryTiering()
-}
-
-// VersionedGrapher is an optional Backend capability: backends that honor
-// Config.Snapshot — serving walks against an epoch snapshot of a
-// versioned graph — implement it (returning true). Backends without the
-// capability reject a non-nil Snapshot at Open.
-type VersionedGrapher interface {
-	SupportsVersionedGraphs() bool
-}
-
-// SupportsVersionedGraphs reports whether the named backend declares the
-// versioned-graph capability. Unknown names report false.
-func SupportsVersionedGraphs(name string) bool {
-	b, err := Lookup(name)
-	if err != nil {
-		return false
-	}
-	v, ok := b.(VersionedGrapher)
-	return ok && v.SupportsVersionedGraphs()
+	return Capabilities{}
 }
 
 // PlanReport is the resolved execution decision a planned session runs

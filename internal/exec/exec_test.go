@@ -371,21 +371,33 @@ func TestWalkerZeroAllocations(t *testing.T) {
 	}
 }
 
-// TestMergesBatchesCapability pins which backends declare the batch-merge
-// capability the serving layer keys on: exactly the cpu family (whose
-// per-query RNG streams make walks independent of batch composition).
-func TestMergesBatchesCapability(t *testing.T) {
-	want := map[string]bool{
-		"cpu": true, "cpu-sharded": true, "cpu-pipelined": true,
-		"ridgewalker": false, "lightrw": false, "suetal": false,
-		"fastrw": false, "gsampler": false,
+// TestBackendCapabilities pins every registered backend's declared
+// Capabilities: the cpu family (and auto, which plans onto it) merges
+// batches, heartbeats and honors memory budgets, only cpu-sharded runs
+// batches side by side, and the simulators and analytic models declare
+// nothing. An unknown name reads as the zero value.
+func TestBackendCapabilities(t *testing.T) {
+	cpu := Capabilities{MergesBatches: true, Heartbeats: true, MemoryTiering: true}
+	sharded := cpu
+	sharded.ConcurrentRuns = true
+	want := map[string]Capabilities{
+		"auto": cpu, "cpu": cpu, "cpu-pipelined": cpu, "cpu-sharded": sharded,
+		"ridgewalker": {}, "lightrw": {}, "suetal": {}, "fastrw": {}, "gsampler": {},
 	}
-	for name, m := range want {
-		if got := MergesBatches(name); got != m {
-			t.Errorf("MergesBatches(%q) = %v, want %v", name, got, m)
+	for _, name := range Names() {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("backend %q has no pinned capabilities", name)
+			continue
+		}
+		if got := CapabilitiesOf(name); got != w {
+			t.Errorf("CapabilitiesOf(%q) = %+v, want %+v", name, got, w)
 		}
 	}
-	if MergesBatches("nope") {
-		t.Error("unknown backend reported mergeable")
+	if len(Names()) != len(want) {
+		t.Errorf("registry has %d backends, table pins %d", len(Names()), len(want))
+	}
+	if got := CapabilitiesOf("nope"); got != (Capabilities{}) {
+		t.Errorf("unknown backend reports %+v, want the zero value", got)
 	}
 }

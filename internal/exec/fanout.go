@@ -9,17 +9,19 @@ import (
 	"ridgewalker/internal/fault"
 )
 
-// errStopped is returned by a worker to bail out quietly after another
-// worker already failed; it is never surfaced to callers.
+// errStopped is returned by a worker to bail out quietly once stopped()
+// reports true; it is never surfaced to callers.
 var errStopped = errors.New("exec: stopped")
+
+// errClosed fails runs on a closed session.
+var errClosed = errors.New("exec: session is closed")
 
 // runChunked is the CPU sessions' shared fan-out scaffolding: it
 // partitions [0, n) into contiguous per-worker chunks and runs each chunk
 // on its own goroutine through run(worker, lo, hi, stopped). run should
-// poll stopped() periodically and then return ctx.Err() if the context
-// was cancelled or errStopped to stand down after another worker's
-// failure. The first real error wins; otherwise the context error (if
-// any) is returned.
+// poll stopped() periodically and return errStopped once it reports true
+// — the context was cancelled or another worker failed. The first real
+// error wins; otherwise the context error (if any) is returned.
 func runChunked(ctx context.Context, n, workers int, run func(w, lo, hi int, stopped func() bool) error) error {
 	var (
 		stop     atomic.Bool

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/walk"
 )
@@ -176,7 +177,10 @@ func TestPipelinedOpenValidation(t *testing.T) {
 		t.Fatal("negative shards accepted")
 	}
 	// A shard count is refused by the backends that never shard, with an
-	// error that names the one that does.
+	// error that names the one that does, before any sampler borrow (an
+	// armed sampler-build fault never fires).
+	fault.Enable(fault.SamplerBuild, fault.Spec{Mode: fault.ModeError})
+	defer fault.Reset()
 	for _, backend := range []string{"auto", "cpu-pipelined"} {
 		ses, err := Open(backend, g, Config{Walk: cfg, Shards: 2})
 		if err == nil {
@@ -187,6 +191,10 @@ func TestPipelinedOpenValidation(t *testing.T) {
 			t.Fatalf("%s: Shards 2 refused with %q, want an error naming cpu-sharded", backend, err)
 		}
 	}
+	if n := fault.Fired(fault.SamplerBuild); n != 0 {
+		t.Fatalf("a refused shard count reached the sampler borrow %d times", n)
+	}
+	fault.Reset()
 	ses, err := Open("cpu-pipelined", g, Config{Walk: cfg})
 	if err != nil {
 		t.Fatal(err)

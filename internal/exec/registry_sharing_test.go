@@ -15,12 +15,7 @@ import (
 // sessionSampler exposes the registry borrow a cpu-family session holds.
 func sessionSampler(t *testing.T, s Session) sampling.Sampler {
 	t.Helper()
-	switch ses := s.(type) {
-	case *cpuSession:
-		return ses.sampler.Sampler()
-	case *pipelinedSession:
-		return ses.sampler.Sampler()
-	case *shardedSession:
+	if ses, ok := s.(*cpuSession); ok {
 		return ses.sampler.Sampler()
 	}
 	t.Fatalf("session %T holds no sampler ref", s)

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/rng"
+	"ridgewalker/internal/shard"
 	"ridgewalker/internal/walk"
 )
 
@@ -206,5 +209,47 @@ func TestShardedDiscardPaths(t *testing.T) {
 	}
 	if res.Steps == 0 {
 		t.Fatal("no steps counted")
+	}
+}
+
+// TestOpenRejectsOversizedMesh: cpu-sharded's migration mesh is
+// quadratic in its worker count and is built on the first Run, so Open
+// must refuse a shard × worker shape above shard.MaxMeshWorkers, with an
+// error naming the limit. Shards 128 on 2 cores allocated 918 MB per
+// run before the bound. The refusal comes before Open borrows a sampler
+// (an armed sampler-build fault never fires). The mesh at the limit, and
+// the default shape, still open.
+func TestOpenRejectsOversizedMesh(t *testing.T) {
+	g := testGraph(t)
+	cfg, _ := testWorkload(t, g, walk.URW, 1)
+	defer fault.Reset()
+	fault.Enable(fault.SamplerBuild, fault.Spec{Mode: fault.ModeError})
+	for _, c := range []Config{
+		{Walk: cfg, Shards: 128},
+		{Walk: cfg, Workers: 4096},
+	} {
+		ses, err := Open("cpu-sharded", g, c)
+		if err == nil {
+			ses.Close()
+			t.Fatalf("Shards %d Workers %d accepted", c.Shards, c.Workers)
+		}
+		if !strings.Contains(err.Error(), "MaxMeshWorkers") {
+			t.Fatalf("Shards %d Workers %d refused with %q, want an error naming MaxMeshWorkers", c.Shards, c.Workers, err)
+		}
+	}
+	if n := fault.Fired(fault.SamplerBuild); n != 0 {
+		t.Fatalf("oversized shapes reached the sampler borrow %d times", n)
+	}
+	fault.Reset()
+	for _, c := range []Config{
+		{Walk: cfg},
+		{Walk: cfg, Shards: shard.MaxMeshWorkers, Workers: 1},
+		{Walk: cfg, Shards: 1, Workers: shard.MaxMeshWorkers},
+	} {
+		ses, err := Open("cpu-sharded", g, c)
+		if err != nil {
+			t.Fatalf("Shards %d Workers %d refused: %v", c.Shards, c.Workers, err)
+		}
+		ses.Close()
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // MemoryReport is a session's tiered-memory placement accounting,
-// surfaced on BatchResult and through the MemoryReporter capability.
+// surfaced on BatchResult.
 // All byte counts are resident sizes; the flat fields are what the same
 // content costs untiered, so Graph/Sampler ratios read directly as the
 // budget's savings.
@@ -45,12 +45,6 @@ type MemoryReport struct {
 
 // TotalBytes is the combined resident footprint of the tiered stores.
 func (m *MemoryReport) TotalBytes() int64 { return m.GraphBytes + m.SamplerBytes }
-
-// MemoryReporter is an optional Session capability: sessions opened with
-// a nonzero MemoryBudgetBytes report their placement accounting.
-type MemoryReporter interface {
-	MemoryReport() *MemoryReport
-}
 
 // tierBudgets splits the configured budget between the graph and sampler
 // stores. Workloads backed by an O(E) alias store (weighted DeepWalk)

@@ -15,11 +15,20 @@ import (
 	"ridgewalker/internal/walk"
 )
 
+// MaxMeshWorkers bounds an engine's shard workers, K·max(1, Workers/K).
+// The migration mesh holds one SPSC ring of RingCapacity records per
+// (producer, consumer) pair — (W+1)·W rings for W workers — so its
+// footprint is quadratic in W: one 16-query URW run over a 16 384-vertex
+// graph allocates 11.7 MB at 8 workers, 79 MB at 32 and 918 MB at 128.
+// NewEngine refuses a larger mesh.
+const MaxMeshWorkers = 32
+
 // EngineConfig sizes a sharded execution engine.
 type EngineConfig struct {
 	// Workers is the total worker budget across all shards; each shard's
 	// pool gets max(1, Workers/K) goroutines, so the actual total is at
-	// least K. 0 means runtime.GOMAXPROCS(0).
+	// least K and at most MaxMeshWorkers. 0 means runtime.GOMAXPROCS(0),
+	// capped at MaxMeshWorkers.
 	Workers int
 	// MaxInflight caps the walkers concurrently in flight across all
 	// shards. It sizes the engine's walker-record pool: each record owns
@@ -61,7 +70,7 @@ type EngineConfig struct {
 
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = min(runtime.GOMAXPROCS(0), MaxMeshWorkers)
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 4096
@@ -165,6 +174,9 @@ func NewEngine(g *graph.CSR, p *Partitioning, wcfg walk.Config, cfg EngineConfig
 	if cfg.RingCapacity < 0 {
 		return nil, fmt.Errorf("shard: ring capacity %d, want >= 0", cfg.RingCapacity)
 	}
+	if err := checkMesh(p.K, cfg.Workers); err != nil {
+		return nil, err
+	}
 	if cfg.Tiered != nil && cfg.Tiered.Graph() != g {
 		return nil, fmt.Errorf("shard: tiered store built over a different graph")
 	}
@@ -232,12 +244,31 @@ func (e *Engine) putMesh(m *mesh) {
 func (e *Engine) Partitioning() *Partitioning { return e.part }
 
 // WorkersPerShard returns the per-shard pool size.
-func (e *Engine) WorkersPerShard() int {
-	w := e.cfg.Workers / e.part.K
-	if w < 1 {
-		w = 1
+func (e *Engine) WorkersPerShard() int { return meshPerShard(e.cfg.Workers, e.part.K) }
+
+// meshPerShard is the per-shard pool size for a worker budget over k
+// shards.
+func meshPerShard(workers, k int) int { return max(1, workers/k) }
+
+// checkMesh refuses a shape whose migration mesh would exceed
+// MaxMeshWorkers; workers is EngineConfig.Workers (0 for the default).
+func checkMesh(k, workers int) error {
+	if w := k * meshPerShard(EngineConfig{Workers: workers}.withDefaults().Workers, k); w > MaxMeshWorkers {
+		return fmt.Errorf("shard: %d shards x %d workers per shard is a %d-worker migration mesh, above MaxMeshWorkers (%d)",
+			k, w/k, w, MaxMeshWorkers)
 	}
-	return w
+	return nil
+}
+
+// CheckShape makes the shape checks of Partition(g, k) and of NewEngine
+// with the given Workers (0 for the default) without building anything,
+// so a caller can refuse a shape before it allocates the state an engine
+// would borrow.
+func CheckShape(g *graph.CSR, k, workers int) error {
+	if err := checkPartitionCount(g, k); err != nil {
+		return err
+	}
+	return checkMesh(k, workers)
 }
 
 // run is the per-Run execution state; the heavy structures live in the

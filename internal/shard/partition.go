@@ -123,6 +123,17 @@ type Partitioning struct {
 	resident []uint64
 }
 
+// checkPartitionCount refuses a shard count Partition cannot honor.
+func checkPartitionCount(g *graph.CSR, k int) error {
+	if k < 1 {
+		return fmt.Errorf("shard: partition count %d, want >= 1", k)
+	}
+	if k > g.NumVertices && !(k == 1 && g.NumVertices == 0) {
+		return fmt.Errorf("shard: partition count %d exceeds %d vertices", k, g.NumVertices)
+	}
+	return nil
+}
+
 // Partition splits g into k shards of near-equal edge count over
 // contiguous vertex ranges — the cheapest edge-cut heuristic that keeps
 // the global→local map O(1) and lets every shard's rows alias the parent
@@ -134,11 +145,8 @@ type Partitioning struct {
 // vertex. The degenerate empty graph (0 vertices, accepted everywhere
 // else in the repository) partitions into a single empty shard at k = 1.
 func Partition(g *graph.CSR, k int) (*Partitioning, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("shard: partition count %d, want >= 1", k)
-	}
-	if k > g.NumVertices && !(k == 1 && g.NumVertices == 0) {
-		return nil, fmt.Errorf("shard: partition count %d exceeds %d vertices", k, g.NumVertices)
+	if err := checkPartitionCount(g, k); err != nil {
+		return nil, err
 	}
 	n := g.NumVertices
 	total := g.NumEdges()

@@ -7,14 +7,15 @@
 //     statistics are validated,
 //   - the workload/query substrate shared by the accelerator and all
 //     baseline models, and
-//   - a ThunderRW-style multi-core CPU engine in its own right
-//     (RunParallel), usable by downstream applications directly.
+//   - the stepping kernels of the CPU engines: Walker (one walk at a
+//     time, zero allocations per step) and Pipeline (a cohort of walks
+//     advanced stage by stage), which internal/exec runs on worker
+//     pools.
 package walk
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"ridgewalker/internal/fault"
 	"ridgewalker/internal/graph"
@@ -338,49 +339,6 @@ func Run(g *graph.CSR, queries []Query, cfg Config) (*Result, error) {
 		res.Paths[i] = path
 		res.Steps += steps
 	}
-	return res, nil
-}
-
-// RunParallel executes queries across the given number of goroutines. The
-// per-query RNG streams make the result independent of scheduling: the
-// output equals Run's output for the same seed.
-func RunParallel(g *graph.CSR, queries []Query, cfg Config, workers int) (*Result, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("walk: workers %d, want >= 1", workers)
-	}
-	s, err := BuildSampler(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Paths: make([][]graph.VertexID, len(queries))}
-	var steps int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (len(queries) + workers - 1) / workers
-	src := rng.NewSource(cfg.Seed)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(queries))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var local int64
-			for i := lo; i < hi; i++ {
-				r := src.Stream(uint64(queries[i].ID))
-				path, st := walkOne(g, s, cfg, queries[i], r)
-				res.Paths[i] = path
-				local += st
-			}
-			mu.Lock()
-			steps += local
-			mu.Unlock()
-		}(lo, hi)
-	}
-	wg.Wait()
-	res.Steps = steps
 	return res, nil
 }
 

@@ -169,36 +169,6 @@ func TestMetaPathRespectsSchema(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesSequential(t *testing.T) {
-	g, err := graph.GenerateRMAT(graph.Balanced(10, 8, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := urwConfig(30)
-	qs, _ := RandomQueries(g, cfg, 200, 8)
-	seq, err := Run(g, qs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunParallel(g, qs, cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Steps != par.Steps {
-		t.Fatalf("steps differ: %d vs %d", seq.Steps, par.Steps)
-	}
-	for i := range seq.Paths {
-		if len(seq.Paths[i]) != len(par.Paths[i]) {
-			t.Fatalf("query %d path length differs", i)
-		}
-		for j := range seq.Paths[i] {
-			if seq.Paths[i][j] != par.Paths[i][j] {
-				t.Fatalf("query %d position %d differs", i, j)
-			}
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	g := graph.SmallTestGraph()
 	bad := []Config{

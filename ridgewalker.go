@@ -390,15 +390,13 @@ type (
 	WalkOutput = exec.WalkOutput
 	// BackendConfig configures OpenBackend.
 	BackendConfig = exec.Config
+	// Capabilities is what a backend's sessions guarantee beyond the
+	// Session contract (BackendCapabilities).
+	Capabilities = exec.Capabilities
 	// MemoryReport is a tiered session's placement accounting, attached
 	// to BatchResult when the session was opened with a nonzero
 	// MemoryBudgetBytes.
 	MemoryReport = exec.MemoryReport
-	// PlanOptions is the "auto" planner's former tuning surface.
-	//
-	// Deprecated: ignored. The auto plan is cpu-pipelined at the pinned
-	// Cohort (default 256); pin Cohort to change it.
-	PlanOptions = plan.Options
 	// PlanReport is the resolved execution decision attached to
 	// BatchResult (and available via the PlanReporter capability) for
 	// sessions opened through the "auto" backend.
@@ -442,14 +440,10 @@ func Backends() []string { return exec.Names() }
 // BackendByName returns a registered execution backend.
 func BackendByName(name string) (Backend, error) { return exec.Lookup(name) }
 
-// BackendSupportsMemoryTiering reports whether the named backend honors
-// the MemoryBudgetBytes knob (tiered graph + sampler stores).
-func BackendSupportsMemoryTiering(name string) bool { return exec.SupportsMemoryTiering(name) }
-
-// BackendSupportsVersionedGraphs reports whether the named backend can
-// serve a GraphSnapshot (BackendConfig.Snapshot). Backends without the
-// capability reject snapshots at open; compact the graph first.
-func BackendSupportsVersionedGraphs(name string) bool { return exec.SupportsVersionedGraphs(name) }
+// BackendCapabilities reports what the named backend's sessions
+// guarantee: batch merging, watchdog heartbeats, concurrent runs and
+// MemoryBudgetBytes tiering. Unknown names report none.
+func BackendCapabilities(name string) Capabilities { return exec.CapabilitiesOf(name) }
 
 // OpenBackend binds a named execution backend to a graph, performing all
 // per-workload setup (sampler construction, simulator instantiation,

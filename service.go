@@ -34,7 +34,10 @@ type ServiceConfig struct {
 	Platform Platform
 	// Workers sizes the cpu backends' worker pools — each worker owns a
 	// reused path buffer and RNG stream, so the serving hot path allocates
-	// nothing per step. 0 means runtime.GOMAXPROCS(0).
+	// nothing per step. It also sizes the dispatcher pool. 0 means
+	// runtime.GOMAXPROCS(0) dispatchers, with each session at its
+	// backend's default pool (cpu-sharded's is capped at 32 shard
+	// workers).
 	Workers int
 	// Cohort sets the cohort backends' in-flight walker count per worker
 	// (the width of the batched Row/Sample/Column/Move stages). 0 means
@@ -167,6 +170,12 @@ type Service struct {
 	g   *Graph
 	vg  *graph.Versioned
 	cfg ServiceConfig
+	// sessionWorkers is the Workers sessions open with: ServiceConfig.
+	// Workers as given, 0 when it was left unset. cfg.Workers sizes the
+	// dispatcher pool; an unset value must reach the engine as 0 so it
+	// takes its own default (cpu-sharded's stays within
+	// shard.MaxMeshWorkers on wide hosts).
+	sessionWorkers int
 
 	// planner is non-nil when Backend is "auto": it caches one plan per
 	// query class and carries the breaker's demotions. Guarded by s.mu
@@ -520,6 +529,7 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 	if _, err := exec.Lookup(cfg.Backend); err != nil {
 		return nil, err
 	}
+	sessionWorkers := cfg.Workers
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -565,14 +575,15 @@ func NewService(g *Graph, cfg ServiceConfig) (*Service, error) {
 		cfg.WatchdogInterval = 2 * time.Second
 	}
 	s := &Service{
-		g:        g,
-		vg:       graph.NewVersioned(g),
-		cfg:      cfg,
-		sessions: map[string]*sessionEntry{},
-		pending:  map[string]*batchGroup{},
-		running:  map[string]int{},
-		qcounts:  map[uint64]int{},
-		watched:  map[*batchGroup]*watchEntry{},
+		g:              g,
+		vg:             graph.NewVersioned(g),
+		cfg:            cfg,
+		sessionWorkers: sessionWorkers,
+		sessions:       map[string]*sessionEntry{},
+		pending:        map[string]*batchGroup{},
+		running:        map[string]int{},
+		qcounts:        map[uint64]int{},
+		watched:        map[*batchGroup]*watchEntry{},
 		metrics: ServiceMetrics{
 			PerBackend:   map[string]Counter{},
 			PerAlgorithm: map[string]Counter{},
@@ -767,7 +778,7 @@ func (s *Service) keySlots(grp *batchGroup) int {
 	if grp.planned {
 		backend = grp.plan.Backend
 	}
-	if exec.RunsConcurrently(backend) {
+	if exec.CapabilitiesOf(backend).ConcurrentRuns {
 		return s.cfg.Workers
 	}
 	return 1
@@ -860,7 +871,7 @@ func (s *Service) acquireSession(key string, grp *batchGroup) (*sessionEntry, er
 		ec := exec.Config{
 			Walk:                grp.cfg,
 			Platform:            s.cfg.Platform,
-			Workers:             s.cfg.Workers,
+			Workers:             s.sessionWorkers,
 			Cohort:              s.cfg.Cohort,
 			MemoryBudgetBytes:   s.cfg.MemoryBudgetBytes,
 			Snapshot:            grp.snap,
@@ -1198,7 +1209,7 @@ func (s *Service) runGroup(key string, grp *batchGroup) {
 	if grp.planned {
 		backendName = grp.plan.Backend
 	}
-	if s.watchStop != nil && exec.SupportsHeartbeats(backendName) {
+	if s.watchStop != nil && exec.CapabilitiesOf(backendName).Heartbeats {
 		s.watchRegister(key, backendName, grp)
 		defer s.watchUnregister(grp)
 	}
@@ -1277,13 +1288,13 @@ func (s *Service) runGroupExec(key string, grp *batchGroup, ses exec.Session) er
 	if grp.planned {
 		backend = grp.plan.Backend
 	}
-	// Backends declaring the BatchMerger capability (the cpu family, whose
-	// per-query RNG streams make walks independent of batch composition)
-	// merge requests into one backend dispatch. The rest — simulators
+	// Backends that merge batches (the cpu family, whose per-query RNG
+	// streams make walks independent of batch composition) take the
+	// group's requests in one backend dispatch. The rest — simulators
 	// routing walks through shared pipelines, models requiring unique query
 	// IDs — run requests back-to-back instead, still amortizing the
 	// session's sampler and configuration.
-	merge := exec.MergesBatches(backend)
+	merge := exec.CapabilitiesOf(backend).MergesBatches
 	ctx := grp.ctx
 	if merge {
 		all := make([]walk.Query, 0, grp.queries)

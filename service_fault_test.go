@@ -283,8 +283,9 @@ func (wedgeBackend) Description() string { return "test backend that wedges unti
 func (wedgeBackend) Open(g *graph.CSR, cfg exec.Config) (exec.Session, error) {
 	return wedgeSession{}, nil
 }
-func (wedgeBackend) MergesBatches() bool { return true }
-func (wedgeBackend) Heartbeats() bool    { return true }
+func (wedgeBackend) Capabilities() exec.Capabilities {
+	return exec.Capabilities{MergesBatches: true, Heartbeats: true}
+}
 
 type wedgeSession struct{}
 
@@ -314,7 +315,9 @@ func (recorderBackend) Description() string { return "test backend that records 
 func (recorderBackend) Open(g *graph.CSR, cfg exec.Config) (exec.Session, error) {
 	return recorderSession{seed: cfg.Walk.Seed}, nil
 }
-func (recorderBackend) MergesBatches() bool { return true }
+func (recorderBackend) Capabilities() exec.Capabilities {
+	return exec.Capabilities{MergesBatches: true}
+}
 
 type recorderSession struct{ seed uint64 }
 

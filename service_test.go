@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -169,6 +170,46 @@ func TestServiceSessionEviction(t *testing.T) {
 	check(1) // evicted by now; must reopen with identical output
 	if got := svc.Metrics().PerAlgorithm["URW"].Requests; got != 6 {
 		t.Fatalf("requests = %d, want 6", got)
+	}
+}
+
+// TestServiceShardedWideHost: a Service with Workers left unset sizes its
+// dispatcher pool to GOMAXPROCS, but its cpu-sharded sessions take the
+// engine's default worker budget, which stays within shard's 32-worker
+// mesh bound, so a 64-proc host still serves. An explicit Workers that
+// would build a larger mesh is still refused.
+func TestServiceShardedWideHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	g := serviceTestGraph(t)
+	cfg := ridgewalker.DefaultWalkConfig(ridgewalker.URW)
+	cfg.WalkLength = 10
+	qs, err := ridgewalker.RandomQueries(g, cfg, 32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ridgewalker.Walk(g, qs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 64} {
+		svc, err := ridgewalker.NewService(g, ridgewalker.ServiceConfig{
+			Backend: "cpu-sharded",
+			Workers: workers,
+			Cohort:  16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := svc.Submit(context.Background(), cfg, qs)
+		svc.Close()
+		switch {
+		case workers == 0 && err != nil:
+			t.Fatalf("Workers unset at GOMAXPROCS 64: %v", err)
+		case workers == 0 && !reflect.DeepEqual(got.Paths, want.Paths):
+			t.Fatal("Workers unset at GOMAXPROCS 64: paths differ from Walk")
+		case workers != 0 && (err == nil || !strings.Contains(err.Error(), "MaxMeshWorkers")):
+			t.Fatalf("Workers %d at GOMAXPROCS 64: error %v, want a MaxMeshWorkers refusal", workers, err)
+		}
 	}
 }
 
