@@ -39,6 +39,7 @@ func init() {
 		name:  "cpu",
 		desc:  "multi-core software engine (ThunderRW-style), allocation-free hot path",
 		caps:  cpuCaps,
+		lanes: 1,
 		build: newWalkerLoop,
 	})
 	// The step-interleaved engine: the walk step is decomposed into Row
@@ -83,6 +84,9 @@ type cpuBackend struct {
 	// check, when non-nil, refuses a config the engine cannot run before
 	// Open borrows any sampler or tiered state.
 	check func(g *graph.CSR, cfg Config) error
+	// lanes is how many walkers one worker holds rows for, which sizes
+	// its decode scratch; 0 means the cohort width.
+	lanes int
 	// build makes the engine's loop over the session's borrowed sampler
 	// and (under a memory budget) tiered graph store. workers and cohort
 	// are resolved: cfg's value or the default.
@@ -133,6 +137,13 @@ func (b cpuBackend) Open(g *graph.CSR, cfg Config) (Session, error) {
 		ts.release()
 		ref.Release()
 		return nil, err
+	}
+	if ts != nil {
+		lanes := b.lanes
+		if lanes == 0 {
+			lanes = cohort
+		}
+		ts.rep.ScratchBoundPerWorker = walk.ScratchBound(tiered, ref.Sampler().Kind(), lanes)
 	}
 	return &cpuSession{loop: l, discard: cfg.DiscardPaths, maxPath: cfg.Walk.WalkLength + 1, sampler: ref, tier: ts}, nil
 }
@@ -238,14 +249,10 @@ type walkerLoop struct {
 
 func newWalkerLoop(g *graph.CSR, cfg Config, workers, _ int, smp sampling.Sampler, tiered *graph.Tiered) (loop, error) {
 	l := &walkerLoop{walkers: make([]*walk.Walker, workers)}
+	rows := graph.NewRows(g, tiered, cfg.Snapshot)
 	for i := range l.walkers {
 		l.walkers[i] = walk.NewWalkerWithSampler(g, cfg.Walk, smp)
-		if tiered != nil {
-			l.walkers[i].SetTierView(graph.NewTierView(tiered))
-		}
-		if cfg.Snapshot != nil {
-			l.walkers[i].SetSnapshot(cfg.Snapshot)
-		}
+		l.walkers[i].SetRows(rows)
 	}
 	return l, nil
 }
@@ -304,17 +311,13 @@ func checkUnsharded(_ *graph.CSR, cfg Config) error {
 
 func newPipelineLoop(g *graph.CSR, cfg Config, workers, cohort int, smp sampling.Sampler, tiered *graph.Tiered) (loop, error) {
 	l := &pipelineLoop{pipes: make([]*walk.Pipeline, workers)}
+	rows := graph.NewRows(g, tiered, cfg.Snapshot)
 	for i := range l.pipes {
 		p, err := walk.NewPipelineWithSampler(g, cfg.Walk, smp, cohort)
 		if err != nil {
 			return nil, err
 		}
-		if tiered != nil {
-			p.SetTiered(tiered)
-		}
-		if cfg.Snapshot != nil {
-			p.SetSnapshot(cfg.Snapshot)
-		}
+		p.SetRows(rows)
 		l.pipes[i] = p
 	}
 	return l, nil

@@ -37,9 +37,9 @@ type MemoryReport struct {
 	SamplerHotRows, SamplerColdRows int
 	// SamplerColdRatio is the cold alias rows' flat/compressed ratio.
 	SamplerColdRatio float64
-	// ScratchBoundPerWorker is the worst-case cold-row decode scratch a
-	// single worker's TierView can grow to (graph.Tiered.
-	// WorkerScratchBound); total scratch is bounded by workers × this.
+	// ScratchBoundPerWorker is the most cold-row decode scratch one
+	// worker's lanes can grow to (walk.ScratchBound); total scratch is
+	// bounded by workers × this.
 	ScratchBoundPerWorker int64
 }
 
@@ -97,15 +97,14 @@ func acquireTiered(g *graph.CSR, cfg Config) (*tierState, error) {
 	ts := &tierState{gref: gref, sref: sref}
 	gs := gref.Store().Stats()
 	ts.rep = MemoryReport{
-		Budget:                cfg.MemoryBudgetBytes,
-		GraphBudget:           gb,
-		SamplerBudget:         sb,
-		GraphBytes:            gref.Store().MemoryFootprintBytes(),
-		GraphFlatBytes:        gs.FlatBytes,
-		GraphHotRows:          gs.HotRows,
-		GraphColdRows:         gs.ColdRows,
-		GraphColdRatio:        gs.CompressionRatio,
-		ScratchBoundPerWorker: gref.Store().WorkerScratchBound(),
+		Budget:         cfg.MemoryBudgetBytes,
+		GraphBudget:    gb,
+		SamplerBudget:  sb,
+		GraphBytes:     gref.Store().MemoryFootprintBytes(),
+		GraphFlatBytes: gs.FlatBytes,
+		GraphHotRows:   gs.HotRows,
+		GraphColdRows:  gs.ColdRows,
+		GraphColdRatio: gs.CompressionRatio,
 	}
 	ts.rep.SamplerBytes = sampling.Footprint(sref.Sampler())
 	ts.rep.SamplerFlatBytes = ts.rep.SamplerBytes
@@ -140,14 +139,13 @@ func acquireTieredSnap(g *graph.CSR, cfg Config) (*tierState, error) {
 	ts := &tierState{gref: gref, sref: sref}
 	gs := gref.Store().Stats()
 	ts.rep = MemoryReport{
-		Budget:                cfg.MemoryBudgetBytes,
-		GraphBudget:           gb,
-		GraphBytes:            gref.Store().MemoryFootprintBytes(),
-		GraphFlatBytes:        gs.FlatBytes,
-		GraphHotRows:          gs.HotRows,
-		GraphColdRows:         gs.ColdRows,
-		GraphColdRatio:        gs.CompressionRatio,
-		ScratchBoundPerWorker: gref.Store().WorkerScratchBound(),
+		Budget:         cfg.MemoryBudgetBytes,
+		GraphBudget:    gb,
+		GraphBytes:     gref.Store().MemoryFootprintBytes(),
+		GraphFlatBytes: gs.FlatBytes,
+		GraphHotRows:   gs.HotRows,
+		GraphColdRows:  gs.ColdRows,
+		GraphColdRatio: gs.CompressionRatio,
 	}
 	ts.rep.SamplerBytes = sampling.Footprint(sref.Sampler())
 	ts.rep.SamplerFlatBytes = ts.rep.SamplerBytes

@@ -134,8 +134,8 @@ func TestTieredMemoryReport(t *testing.T) {
 	if m.SamplerBudget == 0 || m.SamplerColdRows == 0 {
 		t.Fatalf("DeepWalk should tier the alias store: %+v", m)
 	}
-	if m.ScratchBoundPerWorker <= 0 {
-		t.Fatalf("scratch bound %d, want > 0", m.ScratchBoundPerWorker)
+	if m.ScratchBoundPerWorker != 0 {
+		t.Fatalf("scratch bound %d, want 0: alias draws read one slot and decode no row", m.ScratchBoundPerWorker)
 	}
 	// Every run carries its own copy of the report.
 	m.GraphBytes = 0
@@ -158,6 +158,37 @@ func TestTieredMemoryReport(t *testing.T) {
 	}
 	if fres.Memory != nil {
 		t.Fatal("untiered session attached a memory report")
+	}
+}
+
+// TestTieredScratchBound pins the decode-scratch bound a tiered session
+// reports: a weighted Node2Vec cohort worker keeps three buffers per lane
+// (the current row, its weights, the previous row), a Walker one lane's
+// worth, each up to the largest cold row.
+func TestTieredScratchBound(t *testing.T) {
+	g := testGraph(t)
+	cfg, qs := testWorkload(t, g, walk.Node2Vec, 50)
+	ts, err := graph.NewTiered(g, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perLane := int64(3*ts.MaxColdDegree) * 4
+	for _, tc := range []struct {
+		backend string
+		lanes   int64
+	}{{"cpu", 1}, {"cpu-pipelined", 16}} {
+		ses, err := Open(tc.backend, g, Config{Walk: cfg, MemoryBudgetBytes: -1, Cohort: int(tc.lanes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ses.Run(context.Background(), Batch{Queries: qs})
+		ses.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Memory.ScratchBoundPerWorker, tc.lanes*perLane; got != want {
+			t.Fatalf("%s: scratch bound %d, want %d", tc.backend, got, want)
+		}
 	}
 }
 

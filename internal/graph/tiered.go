@@ -51,7 +51,7 @@ const (
 // parent CSR's neighbor list and weights, so engines running over a
 // Tiered store produce byte-identical trajectories to the flat CSR. The
 // store is immutable after construction and safe for concurrent use;
-// per-worker decode state lives in TierView.
+// decode buffers belong to the readers (see Rows).
 type Tiered struct {
 	g *CSR
 	// loc[v] packs v's row location: offset(40) | degree(23) | hot(1).
@@ -70,7 +70,7 @@ type Tiered struct {
 
 	// HotRows is the number of rows pinned in the hot arena.
 	HotRows int
-	// MaxColdDegree bounds per-worker decode scratch.
+	// MaxColdDegree bounds a decode buffer's length.
 	MaxColdDegree int
 
 	hotEntries   int64 // hot arena entries, padding included
@@ -237,7 +237,7 @@ func (t *Tiered) Graph() *CSR { return t.g }
 func (t *Tiered) Budget() int64 { return t.budget }
 
 // Locate returns v's row location with one packed-locator load: hot rows
-// give an entry offset into HotArena(), cold rows a byte offset into the
+// give an entry offset into the hot arena, cold rows a byte offset into the
 // compressed arena for DecodeRowInto.
 func (t *Tiered) Locate(v VertexID) (off int64, deg int32, hot bool) {
 	p := t.loc[v]
@@ -247,20 +247,12 @@ func (t *Tiered) Locate(v VertexID) (off int64, deg int32, hot bool) {
 // IsHot reports whether v's row is served from the hot arena.
 func (t *Tiered) IsHot(v VertexID) bool { return t.loc[v]&locArenaBit != 0 }
 
-// HotArena exposes the hot neighbor arena for engines that index rows via
-// Locate. The slice must not be modified.
-func (t *Tiered) HotArena() []VertexID { return t.hotCol }
-
-// HotWeights exposes the weight arena parallel to HotArena (nil on
-// unweighted graphs).
-func (t *Tiered) HotWeights() []float32 { return t.hotW }
-
 // DecodeRowInto decodes v's cold row — v must locate with hot == false —
-// into colBuf, growing it as needed, and returns the decoded row. When
-// wantW is true (weighted graphs only) the weight row is decoded into
-// wtsBuf the same way; otherwise the returned weights are nil. Reusing
-// the returned buffers across calls makes steady-state decode
-// allocation-free.
+// into colBuf and returns the decoded row. When wantW is true (weighted
+// graphs only) the weight row is decoded into wtsBuf the same way;
+// otherwise the returned weights are nil. A buffer too short for the row
+// is replaced by one that holds MaxColdDegree entries, so a reused buffer
+// grows at most once, whichever rows it decodes later.
 func (t *Tiered) DecodeRowInto(v VertexID, colBuf []VertexID, wtsBuf []float32, wantW bool) ([]VertexID, []float32) {
 	// Armed-guarded injection on the cold hot path: one atomic load when
 	// chaos is off. The decode API has no error return, so any injection
@@ -274,7 +266,7 @@ func (t *Tiered) DecodeRowInto(v VertexID, colBuf []VertexID, wtsBuf []float32, 
 		return colBuf[:0], nil
 	}
 	if cap(colBuf) < d {
-		colBuf = make([]VertexID, d)
+		colBuf = make([]VertexID, t.MaxColdDegree)
 	}
 	var row []VertexID
 	var n int
@@ -287,7 +279,7 @@ func (t *Tiered) DecodeRowInto(v VertexID, colBuf []VertexID, wtsBuf []float32, 
 		return row, nil
 	}
 	if cap(wtsBuf) < d {
-		wtsBuf = make([]float32, d)
+		wtsBuf = make([]float32, t.MaxColdDegree)
 	}
 	wts, _ := decodeWeightRow(t.cold[off+int64(n):], d, wtsBuf[:d])
 	return row, wts
@@ -388,129 +380,4 @@ func (t *Tiered) String() string {
 	s := t.Stats()
 	return fmt.Sprintf("graph.Tiered{hot=%d rows/%dKiB cold=%d rows/%dKiB ratio=%.2fx}",
 		s.HotRows, s.HotBytes>>10, s.ColdRows, s.ColdBytes>>10, s.CompressionRatio)
-}
-
-// tierViewSlots is a TierView's decoded-row cache size. Second-order
-// samplers re-read at most two rows per hop (Cur and Prev), and the
-// cohort engines interleave a handful of lanes between re-reads; four
-// slots cover both without a real cache's bookkeeping.
-const tierViewSlots = 4
-
-// TierView is a per-worker reader over a Tiered store: hot rows are
-// served zero-copy from the hot arena, cold rows are decoded into
-// view-owned scratch with a tiny recently-decoded cache in front, so a
-// second-order sampler probing HasEdge(prev, ·) per candidate decodes
-// prev's row once per hop instead of once per probe. A TierView must not
-// be shared between goroutines.
-type TierView struct {
-	t    *Tiered
-	v    [tierViewSlots]VertexID
-	ok   [tierViewSlots]bool
-	col  [tierViewSlots][]VertexID
-	wts  [tierViewSlots][]float32
-	hand int
-	// last is the slot RowAndWeights returned most recently. A miss never
-	// evicts it: a second-order sampler scanning that row probes
-	// HasEdge(prev, ·) next, and decoding prev over it would rewrite the
-	// row under the scan.
-	last int
-	// needRow / needW narrow what the view decodes to what the consumer's
-	// sampler actually reads (SetAccess). With needRow false the depth-
-	// first engines skip row materialization entirely — one ColdEntryAt
-	// per hop instead of a full decode; with needW false weight rows are
-	// never decoded.
-	needRow, needW bool
-}
-
-// NewTierView returns a fresh per-worker view over t. The view defaults
-// to full access (rows and weights both decoded); engines narrow it with
-// SetAccess when the workload's sampler reads less.
-func NewTierView(t *Tiered) *TierView { return &TierView{t: t, needRow: true, needW: true} }
-
-// SetAccess narrows the view to the row components the consuming sampler
-// reads: needRow false means the sampler consumes only a degree and one
-// drawn neighbor slot per hop (uniform and alias kinds), needW false
-// that weight rows are never read. Must be set before the first access;
-// narrowing an actively used view would serve cached rows decoded under
-// the old setting.
-func (vw *TierView) SetAccess(needRow, needW bool) {
-	vw.needRow, vw.needW = needRow, needW
-}
-
-// NeedRow reports whether the view's consumer requires materialized rows
-// (false selects the depth-first slot-decode fast path).
-func (vw *TierView) NeedRow() bool { return vw.needRow }
-
-// Tiered returns the underlying store.
-func (vw *TierView) Tiered() *Tiered { return vw.t }
-
-// Graph returns the parent CSR.
-func (vw *TierView) Graph() *CSR { return vw.t.g }
-
-// Row returns v's neighbor list — content-identical to Graph().
-// Neighbors(v). Hot rows alias the hot arena; cold rows alias the view's
-// decode cache: the row returned last survives the next cold-row miss,
-// and every row survives tierViewSlots-2 further misses.
-func (vw *TierView) Row(v VertexID) []VertexID {
-	row, _ := vw.RowAndWeights(v)
-	return row
-}
-
-// RowAndWeights returns v's neighbor list and, on weighted graphs, the
-// parallel weight row (nil otherwise). Aliasing as in Row.
-func (vw *TierView) RowAndWeights(v VertexID) ([]VertexID, []float32) {
-	t := vw.t
-	off, deg, hot := t.Locate(v)
-	if hot {
-		if t.hotW != nil {
-			return t.hotCol[off : off+int64(deg)], t.hotW[off : off+int64(deg)]
-		}
-		return t.hotCol[off : off+int64(deg)], nil
-	}
-	if deg == 0 {
-		return nil, nil
-	}
-	for i := 0; i < tierViewSlots; i++ {
-		if vw.ok[i] && vw.v[i] == v {
-			vw.last = i
-			return vw.col[i], vw.wts[i]
-		}
-	}
-	i := vw.hand
-	if i == vw.last {
-		i = (i + 1) % tierViewSlots
-	}
-	vw.hand = (i + 1) % tierViewSlots
-	vw.col[i], vw.wts[i] = t.DecodeRowInto(v, vw.col[i], vw.wts[i], t.g.Weighted() && vw.needW)
-	vw.v[i] = v
-	vw.ok[i] = true
-	vw.last = i
-	return vw.col[i], vw.wts[i]
-}
-
-// HasEdge reports whether the directed edge u→v is present, binary
-// searching u's row through the view (so cold rows decode at most once
-// per cache residency).
-func (vw *TierView) HasEdge(u, v VertexID) bool {
-	ns := vw.Row(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
-}
-
-// WorkerScratchBound is the worst-case decode scratch one TierView can
-// grow to: every cache slot holding a decoded copy of the largest cold
-// row, neighbors and weights both. The per-worker scratch term of the
-// tier accounting, known before any worker runs.
-func (t *Tiered) WorkerScratchBound() int64 {
-	return int64(tierViewSlots) * int64(t.MaxColdDegree) * 8
-}
-
-// ScratchBytes reports the view's decode-cache capacity in bytes (the
-// per-worker scratch term of the tier accounting).
-func (vw *TierView) ScratchBytes() int64 {
-	var b int64
-	for i := 0; i < tierViewSlots; i++ {
-		b += int64(cap(vw.col[i]))*4 + int64(cap(vw.wts[i]))*4
-	}
-	return b
 }

@@ -26,9 +26,9 @@ func starGraph(t *testing.T, n int) *CSR {
 func rowOf(t *Tiered, v VertexID) ([]VertexID, []float32) {
 	off, deg, hot := t.Locate(v)
 	if hot {
-		col := t.HotArena()[off : off+int64(deg)]
-		if t.HotWeights() != nil {
-			return col, t.HotWeights()[off : off+int64(deg)]
+		col := t.hotCol[off : off+int64(deg)]
+		if t.hotW != nil {
+			return col, t.hotW[off : off+int64(deg)]
 		}
 		return col, nil
 	}
@@ -153,7 +153,7 @@ func TestTieredBudgetPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if none.HotRows != 0 || len(none.HotArena()) != 0 {
+	if none.HotRows != 0 || len(none.hotCol) != 0 {
 		t.Fatalf("zero budget pinned %d rows", none.HotRows)
 	}
 	all, err := NewTiered(g, 1<<40)
@@ -189,92 +189,6 @@ func TestTieredCompression(t *testing.T) {
 			t.Fatalf("weighted=%v: compression ratio %.2f < 2x (cold %d flat %d)",
 				weighted, s.CompressionRatio, s.ColdBytes, s.ColdFlatBytes)
 		}
-	}
-}
-
-// TestTierViewCacheAndHasEdge exercises the per-worker view: cached cold
-// decodes, weight rows, and HasEdge agreement with the CSR.
-func TestTierViewCacheAndHasEdge(t *testing.T) {
-	g, err := GenerateRMAT(Balanced(9, 8, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AttachWeights()
-	ts, err := NewTiered(g, 1<<13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vw := NewTierView(ts)
-	for v := 0; v < g.NumVertices; v++ {
-		id := VertexID(v)
-		// Read twice: second read of a cold row must come from the cache
-		// slot and still match.
-		for pass := 0; pass < 2; pass++ {
-			col, wts := vw.RowAndWeights(id)
-			if g.Degree(id) == 0 {
-				if len(col) != 0 {
-					t.Fatalf("vertex %d: empty row served %d entries", v, len(col))
-				}
-				continue
-			}
-			if !reflect.DeepEqual(col, g.Neighbors(id)) {
-				t.Fatalf("vertex %d pass %d: view row differs", v, pass)
-			}
-			if !reflect.DeepEqual(wts, g.NeighborWeights(id)) {
-				t.Fatalf("vertex %d pass %d: view weights differ", v, pass)
-			}
-		}
-	}
-	for v := 0; v < 64; v++ {
-		for u := 0; u < 64; u++ {
-			if got, want := vw.HasEdge(VertexID(v), VertexID(u)), g.HasEdge(VertexID(v), VertexID(u)); got != want {
-				t.Fatalf("HasEdge(%d,%d) = %v, want %v", v, u, got, want)
-			}
-		}
-	}
-	if vw.ScratchBytes() == 0 && ts.Stats().ColdRows > 0 {
-		t.Fatal("view decoded cold rows but reports zero scratch")
-	}
-}
-
-// TestTierViewMissKeepsLastRow drives the access order a second-order
-// sampler makes through an all-cold view: it holds cur's row from a cache
-// hit whose slot is next in eviction order, then probes HasEdge(prev, ·),
-// which misses. The miss must decode prev's row elsewhere, leaving the
-// slice being scanned intact.
-func TestTierViewMissKeepsLastRow(t *testing.T) {
-	const cur, prev = 0, 9
-	var edges []Edge
-	for v := VertexID(1); v <= 8; v++ {
-		edges = append(edges, Edge{Src: cur, Dst: v})
-	}
-	edges = append(edges, Edge{Src: prev, Dst: 10}, Edge{Src: prev, Dst: 11})
-	fillers := []VertexID{12, 13, 14}
-	for _, f := range fillers {
-		edges = append(edges, Edge{Src: f, Dst: 15})
-	}
-	g, err := Build(16, edges, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := NewTiered(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]VertexID(nil), g.Neighbors(cur)...)
-	vw := NewTierView(ts)
-	// Decode cur, then one filler per remaining slot: the eviction hand
-	// wraps back to cur's slot.
-	vw.Row(cur)
-	for _, f := range fillers[:tierViewSlots-1] {
-		vw.Row(f)
-	}
-	row := vw.Row(cur) // a hit
-	if !vw.HasEdge(prev, 10) || vw.HasEdge(prev, 3) {
-		t.Fatal("HasEdge through the view disagrees with the graph")
-	}
-	if !reflect.DeepEqual(row, want) {
-		t.Fatalf("cur's row %v was overwritten by the prev probe, want %v", row, want)
 	}
 }
 

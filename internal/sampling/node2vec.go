@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"sort"
 
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/rng"
@@ -14,11 +15,8 @@ import (
 //	1   if prev has edge to v  (stay near)
 //	1/q otherwise              (explore)
 //
-// The adjacency probe routes through the engine's staged memory view:
-// a snapshot overlay first when prev's row is dirty for the serving
-// epoch (its base copy is stale), then the tiered store's view when the
-// engine runs over one (prev's row may live compressed in the cold
-// arena; the view caches its decode), and the CSR otherwise.
+// The adjacency probe searches prev's row in the engine's resolved
+// memory when there is one (see RowView), and the CSR otherwise.
 func node2vecBias(g *graph.CSR, mem *RowView, prev, v graph.VertexID, p, q float64) float64 {
 	switch {
 	case v == prev:
@@ -30,18 +28,15 @@ func node2vecBias(g *graph.CSR, mem *RowView, prev, v graph.VertexID, p, q float
 	}
 }
 
-// hasEdge is the overlay- and tier-routed adjacency probe behind
-// node2vecBias.
-func hasEdge(g *graph.CSR, mem *RowView, u, v graph.VertexID) bool {
-	if mem != nil {
-		if mem.Snap != nil && mem.Snap.Dirty(u) {
-			return mem.Snap.HasEdge(u, v)
-		}
-		if mem.Tier != nil {
-			return mem.Tier.HasEdge(u, v)
-		}
+// hasEdge reports whether prev→v is an edge: a binary search of
+// mem.Prev, N(prev), or of the CSR row when the engine staged no memory.
+func hasEdge(g *graph.CSR, mem *RowView, prev, v graph.VertexID) bool {
+	if mem == nil {
+		return g.HasEdge(prev, v)
 	}
-	return g.HasEdge(u, v)
+	ns := mem.Prev
+	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
+	return i < len(ns) && ns[i] == v
 }
 
 // Rejection implements node2vec's neighbor selection on unweighted graphs by

@@ -68,29 +68,25 @@ type Context struct {
 	Deg int32
 	// Step is the hop index within the walk (0-based).
 	Step int
-	// Mem, when non-nil, is the gathered-row view a tiered engine
-	// attaches: samplers must read Cur's row (and weights) from it
-	// instead of the CSR, because under a tiered store the CSR's Col is
-	// not where cold rows live. Flat engines leave it nil and samplers
-	// read g directly — the original zero-overhead path.
+	// Mem, when non-nil, holds the rows the engine resolved: samplers read
+	// Cur's row and weights, and Prev's row for the second-order probe,
+	// from it instead of the CSR — under a tiered store or a snapshot the
+	// CSR's Col is not where every row lives. Advance leaves it nil and
+	// samplers read g directly.
 	Mem *RowView
 }
 
-// RowView carries the memory a tiered engine has already staged for the
-// current sampling decision: Cur's neighbor row (hot-arena slice or
-// per-lane decode scratch), its weight row (nil on unweighted graphs),
-// and the per-worker TierView for rows of *other* vertices — the
-// second-order HasEdge(prev, ·) probes. One RowView lives per worker or
-// per cohort lane and is reused across hops.
+// RowView is the memory an engine resolved for one walker: Cur's
+// neighbor row (an overlay row, a hot-arena or Col slice, or the
+// walker's own decode buffer), its weight row (nil unless the sampler
+// reads weights on a weighted graph), and, for second-order samplers
+// once the walk has a previous vertex, Prev's neighbor row N(prev), which
+// HasEdge(prev, ·) probes search. One RowView lives per cohort lane or
+// Walker and is reused across hops.
 type RowView struct {
 	Row  []graph.VertexID
 	Wts  []float32
-	Tier *graph.TierView
-	// Snap, when non-nil, is the epoch snapshot the engine is serving:
-	// second-order probes of *other* vertices' rows (HasEdge(prev, ·))
-	// must consult its overlay before the base CSR or tier, because a
-	// dirty row's base copy is stale for this epoch.
-	Snap *graph.Snapshot
+	Prev []graph.VertexID
 }
 
 // degree returns the out-degree of ctx.Cur, preferring the pre-gathered
@@ -102,8 +98,8 @@ func (ctx *Context) degree(g *graph.CSR) int {
 	return g.Degree(ctx.Cur)
 }
 
-// row returns Cur's neighbor list: the staged view under a tiered
-// engine, the CSR row otherwise.
+// row returns Cur's neighbor list: the engine's resolved row when it
+// staged one, the CSR row otherwise.
 func (ctx *Context) row(g *graph.CSR) []graph.VertexID {
 	if ctx.Mem != nil {
 		return ctx.Mem.Row
@@ -112,22 +108,13 @@ func (ctx *Context) row(g *graph.CSR) []graph.VertexID {
 }
 
 // rowWeights returns Cur's weight row parallel to row (nil when the
-// graph is unweighted). Tiered engines stage it in Mem.Wts for the
-// samplers that scan weights.
+// graph is unweighted), from Mem when the engine staged one.
 func (ctx *Context) rowWeights(g *graph.CSR) []float32 {
 	if ctx.Mem != nil {
 		return ctx.Mem.Wts
 	}
 	if g.Weighted() {
 		return g.NeighborWeights(ctx.Cur)
-	}
-	return nil
-}
-
-// tier returns the engine's TierView, nil under flat stores.
-func (ctx *Context) tier() *graph.TierView {
-	if ctx.Mem != nil {
-		return ctx.Mem.Tier
 	}
 	return nil
 }

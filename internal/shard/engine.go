@@ -56,8 +56,8 @@ type EngineConfig struct {
 	Tiered *graph.Tiered
 	// Snapshot optionally serves an epoch snapshot of a versioned graph:
 	// rows dirty for the snapshot's epoch are read from its merged
-	// overlay (Cohort.SetSnapshot), and second-order probes route through
-	// it. It must be a snapshot over the engine's graph.
+	// overlay (graph.Rows), and second-order probes search those rows.
+	// It must be a snapshot over the engine's graph.
 	Snapshot *graph.Snapshot
 	// Sampler, when non-nil, is a prebuilt sampler the engine borrows
 	// instead of building its own — the execution layer passes its

@@ -200,6 +200,7 @@ func newMesh(e *Engine) *mesh {
 	for i := range m.pool {
 		m.pool[i].st.Path = make([]graph.VertexID, 0, e.wcfg.WalkLength+1)
 	}
+	rows := graph.NewRows(e.g, cfg.Tiered, cfg.Snapshot)
 	for c := 0; c < W; c++ {
 		m.free[c] = newRing(cfg.MaxInflight)
 		m.bells[c] = make(chan struct{}, 1)
@@ -208,12 +209,7 @@ func newMesh(e *Engine) *mesh {
 		if err != nil {
 			panic("shard: mesh cohort: " + err.Error())
 		}
-		if cfg.Tiered != nil {
-			cohort.SetTiered(cfg.Tiered)
-		}
-		if cfg.Snapshot != nil {
-			cohort.SetSnapshot(cfg.Snapshot)
-		}
+		cohort.SetRows(rows)
 		ws := &workerState{
 			shardID:   c / perShard,
 			dirty:     make([]bool, W),

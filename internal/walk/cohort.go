@@ -49,8 +49,8 @@ const (
 // seed no matter how lanes interleave.
 //
 // A Cohort performs no allocations after construction: lanes are
-// preallocated at capacity, and path appends stay within the caller's
-// preallocated buffers.
+// preallocated at capacity, a lane's decode buffers grow once each, and
+// path appends stay within the caller's preallocated buffers.
 type Cohort struct {
 	g       *graph.CSR
 	sampler sampling.StagedSampler
@@ -59,9 +59,9 @@ type Cohort struct {
 	// scanRow marks samplers that read the whole neighbor row per
 	// decision (reservoir, metapath): for those, Row Access touches the
 	// row's ends and interior cache lines. Rejection reads single
-	// candidates: its flat, unversioned lanes take the two-load Row
-	// Access (the Sample pass's column loads are independent misses
-	// already) and the others get only the row ends.
+	// candidates: its flat lanes take the two-load Row Access (the Sample
+	// pass's column loads are independent misses already) and the others
+	// get only the row ends.
 	scanRow bool
 	// aliasStore, set when the sampler is the flat alias store, lets Row
 	// Access touch the lane's locator word and alias-row boundary slots
@@ -86,53 +86,32 @@ type Cohort struct {
 
 	n int // lanes in use; live lanes are always the prefix [0, n)
 
-	// arenaCol caches the tiered store's hot arena.
-	arenaCol []graph.VertexID
+	// rows resolves every lane's row outside the two-load flat loop (see
+	// SetRows); acc is how much of it the sampler reads. keepPrev marks
+	// Node2Vec's samplers off the flat rejection pass: their lanes keep
+	// the row they stood on one hop earlier, N(prev), in mem.Prev.
+	rows     *graph.Rows
+	acc      graph.Access
+	keepPrev bool
 
-	// Tiered-store state (SetTiered). The Row Access stage decodes cold rows
-	// into per-lane scratch that persists across passes — a lane parked
-	// mid-rejection re-enters Sample without re-decoding — and the
-	// Sample stage hands the sampler a per-lane RowView so it never
-	// reads the CSR's Col (cold rows do not live there).
-	tiered *graph.Tiered
-	tview  *graph.TierView
-	hotW   []float32 // tiered hot weight arena, parallel to arenaCol
-	rowBuf [][]graph.VertexID
-	wtsBuf [][]float32
-	scr    []bool // lane's gathered row lives in rowBuf scratch
-	mem    []sampling.RowView
-	// Snapshot-overlay state (SetSnapshot). Lanes standing on a vertex
-	// dirty for the serving epoch gather the snapshot's merged row into
-	// ovRow/ovWts instead of any base-row source. The overlay rows are
-	// snapshot-owned (never written through), deliberately separate from
-	// rowBuf: DecodeRowInto writes into rowBuf in place and would corrupt
-	// a snapshot row stored there.
-	snap  *graph.Snapshot
-	ovRow [][]graph.VertexID
-	ovWts [][]float32
-	ovl   []bool
-	// needW marks full-row-scan samplers on weighted graphs: only those
-	// read weight rows, so only they pay cold weight decode.
-	needW bool
-	// slotKind marks samplers that consume only the degree plus one drawn
-	// neighbor slot per hop (uniform draws by index, alias draws from its
-	// own store): Row Access never touches their rows, and under a tiered
-	// store their cold rows skip the full decode — Column Access reads the
-	// one slot straight from the compressed arena.
-	slotKind bool
-
-	// Struct-of-arrays lane state. The gathered row is kept as scalar
-	// locator fields (bounds plus which array) rather than a slice
-	// header: the Row Access loop's usefulness is how many independent
-	// row misses it keeps in flight, and a leaner loop body keeps more
-	// iterations inside the out-of-order window.
+	// Struct-of-arrays lane state. Flat lanes keep their row as scalar
+	// bounds into Col rather than a slice header: the Row Access loop's
+	// usefulness is how many independent row misses it keeps in flight,
+	// and a leaner loop body keeps more iterations inside the
+	// out-of-order window. Lanes off that loop record where their row
+	// lives in at: the view's arena from lo, or encoded at byte offset lo
+	// of the cold arena, or else in mem.Row. mem also holds the row and
+	// its weights for the samplers that read them, and N(prev); cold rows
+	// decode into the lane's own buf.
 	cur, prev []graph.VertexID
 	hasPrev   []bool
 	step      []int32
-	lo, hi    []int64          // gathered row bounds in Col or the hot arena
-	arena     []bool           // gathered row lives in the hot arena
+	lo, hi    []int64          // row bounds in Col; Off and Off+Deg of a resolved row
 	idx       []int32          // Sample's accepted slot within the row
 	nxt       []graph.VertexID // Column Access's fetched neighbor
+	at        []graph.Place    // where Row Access placed the lane's row
+	mem       []sampling.RowView
+	buf       []graph.RowBuf
 	// cand is the resume state of a decision parked mid-rejection; it is
 	// the zero Candidate whenever no decision is in progress.
 	cand  []sampling.Candidate
@@ -173,7 +152,6 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 		kind:        kind,
 		cfg:         cfg,
 		scanRow:     kind == sampling.KindReservoir || kind == sampling.KindMetaPath,
-		slotKind:    kind == sampling.KindUniform || kind == sampling.KindAlias,
 		aliasStore:  aliasStore,
 		tieredAlias: tieredAlias,
 		cur:         make([]graph.VertexID, size),
@@ -182,7 +160,6 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 		step:        make([]int32, size),
 		lo:          make([]int64, size),
 		hi:          make([]int64, size),
-		arena:       make([]bool, size),
 		idx:         make([]int32, size),
 		nxt:         make([]graph.VertexID, size),
 		cand:        make([]sampling.Candidate, size),
@@ -203,77 +180,49 @@ func NewCohort(g *graph.CSR, cfg Config, s sampling.Sampler, size int) (*Cohort,
 		c.phi = make([]int64, size)
 		c.probe = make([]int32, 0, size)
 	}
+	c.SetRows(nil)
 	return c, nil
 }
 
 // flat reports whether lanes read rows straight from the CSR: no tiered
 // store or epoch snapshot. Only flat lanes run sampleRejection.
-func (c *Cohort) flat() bool { return c.tiered == nil && c.snap == nil }
+func (c *Cohort) flat() bool { return c.rows.Flat() }
 
-// SetTiered routes the Row Access stage through a tiered graph store: hot
-// rows come from the store's uncompressed arena, cold rows are decoded
-// row-at-a-time into per-lane scratch, and the Sample stage serves the
-// sampler a staged RowView — Sample and Move never see which tier a row
-// came from. Because a tiered store is content-identical to its CSR,
-// trajectories are unaffected. Call before the first Admit; nil restores
-// direct CSR reads.
-func (c *Cohort) SetTiered(t *graph.Tiered) {
-	c.tiered = t
-	if t == nil {
-		c.tview = nil
-		c.arenaCol = nil
-		c.hotW = nil
-		c.needW = false
-		return
+// lean reports whether Row Access runs the two-load flat loop: uniform
+// and rejection lanes on a flat view. Its lanes keep no row state beyond
+// the bounds.
+func (c *Cohort) lean() bool {
+	return c.flat() && (c.kind == sampling.KindUniform || c.rej != nil)
+}
+
+// SetRows makes the cohort resolve its lanes' rows through rs — a tiered
+// store's arenas and an epoch snapshot's overlay, in rs's order — rather
+// than the CSR it was built over, which rs must serve. Every row form
+// holds the same content, so trajectories are unaffected. Call before the
+// first Admit; nil restores direct CSR reads.
+func (c *Cohort) SetRows(rs *graph.Rows) {
+	if rs == nil {
+		rs = graph.NewRows(c.g, nil, nil)
 	}
-	c.tview = graph.NewTierView(t)
-	c.arenaCol = t.HotArena()
-	c.hotW = t.HotWeights()
-	c.needW = c.scanRow && t.Graph().Weighted()
-	if c.rowBuf == nil {
+	c.rows = rs
+	var prevRow bool
+	c.acc, prevRow = reads(c.kind)
+	c.keepPrev = prevRow && !(c.rej != nil && rs.Flat())
+	if !c.lean() && c.mem == nil {
 		size := len(c.cur)
-		c.rowBuf = make([][]graph.VertexID, size)
-		c.wtsBuf = make([][]float32, size)
-		c.scr = make([]bool, size)
+		c.at = make([]graph.Place, size)
 		c.mem = make([]sampling.RowView, size)
+		c.buf = make([]graph.RowBuf, size)
 	}
 }
 
-// SetSnapshot makes the cohort serve an epoch snapshot of a versioned
-// graph: lanes on vertices dirty for the snapshot's epoch gather the
-// merged overlay row, and second-order probes route through the
-// snapshot. The cohort's graph must be snap.Graph(). Composes with
-// SetTiered (clean rows keep their fast paths). Call
-// before the first Admit; nil restores base-only reads.
-func (c *Cohort) SetSnapshot(snap *graph.Snapshot) {
-	c.snap = snap
-	if snap == nil {
-		return
-	}
-	size := len(c.cur)
-	if c.mem == nil {
-		c.mem = make([]sampling.RowView, size)
-	}
-	if c.ovl == nil {
-		c.ovRow = make([][]graph.VertexID, size)
-		c.ovWts = make([][]float32, size)
-		c.ovl = make([]bool, size)
-	}
-}
-
-// ScratchBytes reports the decode-scratch high water across lanes and
-// the per-cohort TierView cache — the "scratch" term of the tier
-// accounting (0 for flat cohorts).
+// ScratchBytes reports the lanes' decode buffers in bytes — the
+// "scratch" term of the tier accounting (0 for flat cohorts), at most
+// ScratchBound for the cohort's width.
 func (c *Cohort) ScratchBytes() int64 {
 	var b int64
-	for i := range c.rowBuf {
-		b += int64(cap(c.rowBuf[i])) * 4
-	}
-	for i := range c.wtsBuf {
-		b += int64(cap(c.wtsBuf[i])) * 4
-	}
-	if c.tview != nil {
-		b += c.tview.ScratchBytes()
+	for i := range c.buf {
+		b += c.buf[i].Bytes()
 	}
 	return b
 }
@@ -299,16 +248,13 @@ func (c *Cohort) Admit(st *State, r *rng.Stream, tag int32) bool {
 	c.prev[i] = st.Prev
 	c.hasPrev[i] = st.HasPrev
 	c.step[i] = int32(st.Step)
-	c.arena[i] = false
-	if c.scr != nil {
-		c.scr[i] = false
-	}
-	if c.ovl != nil {
-		c.ovl[i] = false
-	}
-	if c.plo != nil && st.HasPrev && c.flat() {
-		// A walker arriving mid-walk (a shard migration, a resumed State)
-		// has no previous row yet: load N(prev)'s bounds once.
+	// A walker arriving mid-walk (a shard migration, a resumed State) has
+	// no previous row yet: resolve N(prev) once — into the spare buffer,
+	// as Move leaves it — or, on a flat rejection lane, load its bounds.
+	if st.HasPrev && c.keepPrev {
+		c.mem[i].Prev = c.rows.Resolve(st.Prev, &c.buf[i], graph.AccessRow).Row
+		c.buf[i].Swap()
+	} else if st.HasPrev && c.plo != nil {
 		c.plo[i], c.phi[i] = c.g.RowPtr[st.Prev], c.g.RowPtr[st.Prev+1]
 	}
 	c.cand[i] = sampling.Candidate{}
@@ -348,7 +294,6 @@ func (c *Cohort) remove(i int) {
 		c.step[i] = c.step[j]
 		c.lo[i] = c.lo[j]
 		c.hi[i] = c.hi[j]
-		c.arena[i] = c.arena[j]
 		c.cand[i] = c.cand[j]
 		c.phase[i] = c.phase[j]
 		c.fate[i] = c.fate[j]
@@ -358,28 +303,20 @@ func (c *Cohort) remove(i int) {
 		if c.plo != nil {
 			c.plo[i], c.phi[i] = c.plo[j], c.phi[j]
 		}
-		if c.scr != nil {
-			// Swap (not copy) the decode buffers so lane j keeps a
-			// recyclable buffer — a parked lane's scratch row must follow
-			// it to its new slot.
-			c.rowBuf[i], c.rowBuf[j] = c.rowBuf[j], c.rowBuf[i]
-			c.wtsBuf[i], c.wtsBuf[j] = c.wtsBuf[j], c.wtsBuf[i]
-			c.scr[i] = c.scr[j]
-		}
-		if c.ovl != nil {
-			// Plain copy: overlay rows alias snapshot storage, not
-			// lane-owned buffers, so nothing needs swapping back.
-			c.ovRow[i] = c.ovRow[j]
-			c.ovWts[i] = c.ovWts[j]
-			c.ovl[i] = c.ovl[j]
+		if c.mem != nil {
+			c.at[i] = c.at[j]
+			c.mem[i] = c.mem[j]
+			// Swap (not copy) the decode buffers: lane j's rows alias its
+			// buffers and follow it, and slot j keeps recyclable ones.
+			c.buf[i], c.buf[j] = c.buf[j], c.buf[i]
 		}
 	}
 	c.st[j] = nil
 	c.r[j] = nil
-	if c.ovl != nil {
-		c.ovRow[j] = nil
-		c.ovWts[j] = nil
-		c.ovl[j] = false
+	if c.mem != nil {
+		// A free lane holds no rows: Admit finds mem zero, and snapshot
+		// rows are not kept alive.
+		c.mem[j] = sampling.RowView{}
 	}
 }
 
@@ -391,34 +328,6 @@ func (c *Cohort) Reset() {
 	for c.n > 0 {
 		c.remove(0)
 	}
-}
-
-// overlayRow is the Row Access hook for epoch snapshots (c.snap
-// non-nil): when lane i's vertex is dirty for the serving epoch it
-// stages the snapshot's merged row (zero-degree merged rows retire) and
-// reports true — the caller skips its base-row gather. Clean vertices
-// clear the lane's overlay mark and gather from the base as usual.
-func (c *Cohort) overlayRow(i int, v graph.VertexID) bool {
-	if !c.snap.Dirty(v) {
-		c.ovl[i] = false
-		return false
-	}
-	row, wts := c.snap.MergedRow(v)
-	if len(row) == 0 {
-		c.fate[i] = fateRetire // zero out-degree at this epoch
-		return true
-	}
-	c.ovRow[i], c.ovWts[i] = row, wts
-	c.ovl[i] = true
-	c.lo[i], c.hi[i] = 0, int64(len(row))
-	c.arena[i] = false
-	if c.scr != nil {
-		c.scr[i] = false
-	}
-	if c.aliasStore != nil {
-		c.touch ^= c.aliasStore.TouchRow(v)
-	}
-	return true
 }
 
 // Step runs one Row Access → Sample → Column Access → Move pass over
@@ -451,113 +360,32 @@ func (c *Cohort) Step(
 	return c.sweep(eject, retire)
 }
 
-// rowAccess fetches the neighbor row bounds for every lane entering a new
-// step. Sinks retire here, before any RNG draw, exactly as Advance orders
-// it (the walk-length bound, Advance's other pre-draw check, is applied
-// by Admit and after every hop by Move). The loop is specialized on the
-// row source once per pass — the body must stay lean enough that many
-// lanes' independent misses overlap inside the out-of-order window, which
-// is the whole point of the stage. On the flat CSR, lanes whose sampler
-// reads single entries (uniform, rejection) load only the row bounds.
+// rowAccess fetches the neighbor row for every lane entering a new step.
+// Sinks retire here, before any RNG draw, exactly as Advance orders it
+// (the walk-length bound, Advance's other pre-draw check, is applied by
+// Admit and after every hop by Move). There are two loops, chosen once
+// per pass — the body must stay lean enough that many lanes' independent
+// misses overlap inside the out-of-order window, which is the whole point
+// of the stage. Flat lanes whose sampler reads single entries (uniform,
+// rejection) load only the row bounds; every other lane resolves its row
+// through c.rows.
 func (c *Cohort) rowAccess() {
 	g := c.g
-	if c.tiered != nil {
-		// Tiered variant: hot rows resolve to the uncompressed hot arena
-		// (one locator load); cold rows decode into
-		// the lane's scratch, which persists across passes — a lane parked
-		// mid-rejection re-enters Sample without re-decoding.
-		for i := 0; i < c.n; i++ {
-			if c.phase[i] != phaseRow {
-				continue
-			}
-			v := c.cur[i]
-			if c.snap != nil && c.overlayRow(i, v) {
-				continue
-			}
-			off, deg, hot := c.tiered.Locate(v)
-			if deg == 0 {
-				c.fate[i] = fateRetire // zero out-degree: immediate termination
-				continue
-			}
-			if hot {
-				lo, hi := off, off+int64(deg)
-				c.lo[i], c.hi[i] = lo, hi
-				c.arena[i], c.scr[i] = true, false
-				c.touch ^= uint64(c.arenaCol[lo]) ^ uint64(c.arenaCol[hi-1])
-				if c.scanRow {
-					for o := lo + 16; o < hi && o <= lo+112; o += 16 {
-						c.touch ^= uint64(c.arenaCol[o])
-					}
-				}
-			} else if c.slotKind {
-				// Slot fast path: the sampler reads only the degree and
-				// Column Access one drawn slot, so the row stays encoded. lo
-				// carries the cold byte offset; hi keeps Deg = hi-lo intact.
-				c.lo[i], c.hi[i] = off, off+int64(deg)
-				c.arena[i], c.scr[i] = false, false
-				c.touch ^= c.tiered.TouchRow(v)
-			} else {
-				row, wts := c.tiered.DecodeRowInto(v, c.rowBuf[i], c.wtsBuf[i], c.needW)
-				c.rowBuf[i] = row
-				if c.needW {
-					c.wtsBuf[i] = wts
-				}
-				c.lo[i], c.hi[i] = 0, int64(deg)
-				c.arena[i], c.scr[i] = false, true
-			}
-			if c.aliasStore != nil {
-				c.touch ^= c.aliasStore.TouchRow(v)
-			}
-			if c.tieredAlias != nil {
-				c.touch ^= c.tieredAlias.TouchRow(v)
-			}
-		}
-	} else {
-		// Flat CSR. The lane arrays and loop-invariant flags are hoisted
-		// into locals: every instruction saved here is room for one more
-		// lane's miss inside the out-of-order window.
-		n := c.n
-		phase, fate, cur := c.phase[:n], c.fate[:n], c.cur[:n]
-		los, his := c.lo[:n], c.hi[:n]
-		// Full-row scans read the row here, and so do the staged samplers
-		// behind a snapshot; flat rejection lanes load their candidates
-		// in the Sample pass, as a loop of independent misses.
-		rowPtr, snap, alias := g.RowPtr, c.snap, c.aliasStore
-		readsRow := c.scanRow || (!c.slotKind && snap != nil)
-		if snap == nil && !readsRow && alias == nil {
-			// Uniform draws and flat rejection on an unversioned graph
-			// (URW, PPR, unweighted Node2Vec): the two row-pointer loads
-			// and nothing else. The Sample pass or Column Access fetches
-			// the drawn entries, and a body without calls keeps every
-			// array base in a register.
-			for i := 0; i < n; i++ {
-				if phase[i] != phaseRow {
-					continue
-				}
-				v := cur[i]
-				hi := rowPtr[v+1]
-				lo := rowPtr[v]
-				if lo == hi {
-					fate[i] = fateRetire // zero out-degree: immediate termination
-					continue
-				}
-				los[i], his[i] = lo, hi
-			}
-			return
-		}
-		// The same loads plus what the lane's sampler or snapshot needs:
-		// the overlay check, the row's ends for samplers that read it
-		// (reservoir, metapath and, under a snapshot, rejection; full-row
-		// scans also its interior), the alias store's locator and row
-		// ends.
+	n := c.n
+	phase, fate, cur := c.phase[:n], c.fate[:n], c.cur[:n]
+	los, his := c.lo[:n], c.hi[:n]
+	if c.lean() {
+		// Uniform draws and flat rejection on an unversioned graph (URW,
+		// PPR, unweighted Node2Vec): the two row-pointer loads and
+		// nothing else. The Sample pass or Column Access fetches the
+		// drawn entries, and a body without calls keeps every array base
+		// in a register.
+		rowPtr := g.RowPtr
 		for i := 0; i < n; i++ {
 			if phase[i] != phaseRow {
 				continue
 			}
 			v := cur[i]
-			if snap != nil && c.overlayRow(i, v) {
-				continue
-			}
 			hi := rowPtr[v+1]
 			lo := rowPtr[v]
 			if lo == hi {
@@ -565,17 +393,86 @@ func (c *Cohort) rowAccess() {
 				continue
 			}
 			los[i], his[i] = lo, hi
-			if readsRow {
-				c.touch ^= uint64(g.Col[lo]) ^ uint64(g.Col[hi-1])
-				if c.scanRow {
-					for off := lo + 16; off < hi && off <= lo+112; off += 16 {
-						c.touch ^= uint64(g.Col[off])
+		}
+		return
+	}
+	// Every other lane is placed by c.rows, inline: a call per lane would
+	// shrink how many lanes' misses overlap. A row in the view's arena
+	// (Col, or a tiered store's hot arena) is read there, and so is a
+	// slot sampler's cold row — Column Access decodes its one drawn slot.
+	// Row Access touches the row's ends for samplers that read it or for
+	// Column Access's hot slot (a full-row scan's interior too), and a
+	// cold row's encoded head. Overlay rows, and cold rows a sampler
+	// reads whole, are resolved. Alias stores get their locator and row
+	// ends touched for the Sample pass.
+	rows, acc, at, mem, buf := c.rows, c.acc, c.at[:n], c.mem[:n], c.buf[:n]
+	slot := acc == graph.AccessSlot
+	flatSlot, rowPtr := slot && rows.Flat(), g.RowPtr
+	arena, arenaW := rows.Arena()
+	if acc != graph.AccessWeights {
+		arenaW = nil
+	}
+	tiered, alias, tieredAlias := rows.Tiered(), c.aliasStore, c.tieredAlias
+	touchEnds := !slot || tiered != nil
+	for i := 0; i < n; i++ {
+		if phase[i] != phaseRow {
+			continue
+		}
+		v := cur[i]
+		if flatSlot {
+			// Every row of a flat view is in Col, and a slot sampler needs
+			// only its bounds: Locate's two loads, without its checks.
+			hi := rowPtr[v+1]
+			lo := rowPtr[v]
+			if lo == hi {
+				fate[i] = fateRetire // zero out-degree: immediate termination
+				continue
+			}
+			los[i], his[i] = lo, hi
+		} else {
+			var row []graph.VertexID // the row's ends to touch
+			off, deg, place := rows.Locate(v)
+			if place == graph.InOverlay || place == graph.InCold && !slot {
+				r := rows.Resolve(v, &buf[i], acc)
+				off, deg = r.Off, r.Deg
+				mem[i].Row, mem[i].Wts = r.Row, r.Wts
+				if !slot {
+					row = r.Row
+				}
+			}
+			if deg == 0 {
+				fate[i] = fateRetire // zero out-degree: immediate termination
+				continue
+			}
+			at[i] = place
+			los[i], his[i] = off, off+int64(deg)
+			switch {
+			case place == graph.InCold && slot:
+				mem[i].Row = nil
+				c.touch ^= tiered.TouchRow(v)
+			case place == graph.InArena && touchEnds:
+				row = arena[off : off+int64(deg)]
+				if !slot {
+					mem[i].Row = row
+					if arenaW != nil {
+						mem[i].Wts = arenaW[off : off+int64(deg)]
 					}
 				}
 			}
-			if alias != nil {
-				c.touch ^= alias.TouchRow(v)
+			if row != nil {
+				c.touch ^= uint64(row[0]) ^ uint64(row[len(row)-1])
+				if c.scanRow {
+					for off := 16; off < len(row) && off <= 112; off += 16 {
+						c.touch ^= uint64(row[off])
+					}
+				}
 			}
+		}
+		if alias != nil {
+			c.touch ^= alias.TouchRow(v)
+		}
+		if tieredAlias != nil {
+			c.touch ^= tieredAlias.TouchRow(v)
 		}
 	}
 }
@@ -685,45 +582,15 @@ func (c *Cohort) sampleRejection() {
 }
 
 // sampleStaged is the Sample pass for samplers that read rows or resume
-// across passes (rejection, reservoir, metapath, the tiered alias store).
+// across passes (rejection off flat lanes, reservoir, metapath, the
+// tiered alias store). Each reads the lane's resolved rows in mem.
 func (c *Cohort) sampleStaged() {
 	g := c.g
 	for i := 0; i < c.n; i++ {
 		if c.fate[i] != fateNone {
 			continue
 		}
-		ctx := sampling.Context{Cur: c.cur[i], Prev: c.prev[i], HasPrev: c.hasPrev[i], Deg: int32(c.hi[i] - c.lo[i]), Step: int(c.step[i])}
-		if (c.tiered != nil || c.snap != nil) && !c.slotKind {
-			// Stage the gathered row for the sampler: under a tiered store
-			// it must not read the CSR's Col (cold rows do not live there),
-			// and under a snapshot its second-order probes must route
-			// through the overlay. Slot-kind samplers never read rows, so
-			// their lanes skip the staging.
-			m := &c.mem[i]
-			switch {
-			case c.ovl != nil && c.ovl[i]:
-				m.Row, m.Wts = c.ovRow[i], c.ovWts[i]
-			case c.scr != nil && c.scr[i]:
-				m.Row, m.Wts = c.rowBuf[i], c.wtsBuf[i]
-			case c.tiered != nil:
-				m.Row = c.arenaCol[c.lo[i]:c.hi[i]]
-				m.Wts = nil
-				if c.needW {
-					m.Wts = c.hotW[c.lo[i]:c.hi[i]]
-				}
-			default:
-				// Flat store, clean lane under a snapshot: stage the base
-				// row by vertex.
-				m.Row = g.Neighbors(c.cur[i])
-				m.Wts = nil
-				if g.Weighted() {
-					m.Wts = g.NeighborWeights(c.cur[i])
-				}
-			}
-			m.Tier = c.tview
-			m.Snap = c.snap
-			ctx.Mem = m
-		}
+		ctx := sampling.Context{Cur: c.cur[i], Prev: c.prev[i], HasPrev: c.hasPrev[i], Deg: int32(c.hi[i] - c.lo[i]), Step: int(c.step[i]), Mem: &c.mem[i]}
 		cand := c.sampler.Propose(g, ctx, c.cand[i], c.r[i])
 		if !cand.Final && !c.sampler.Accept(g, ctx, cand, c.r[i]) {
 			c.cand[i] = cand // the next pass resumes from here
@@ -741,9 +608,10 @@ func (c *Cohort) sampleStaged() {
 }
 
 // columnAccess reads the one column entry each accepted lane drew:
-// nxt[i] = base[lo[i]+idx[i]]. On the flat store that is the whole loop
-// body, so the misses of every moving lane overlap; the other row sources
-// resolve which array the lane's row lives in first.
+// nxt[i] = Col[lo[i]+idx[i]] on the flat store, where that is the whole
+// loop body, so the misses of every moving lane overlap. Other lanes
+// read the view's arena by lo, their resolved row, or the one slot of a
+// cold row left encoded.
 func (c *Cohort) columnAccess() {
 	if c.flat() {
 		n := c.n
@@ -755,26 +623,19 @@ func (c *Cohort) columnAccess() {
 		}
 		return
 	}
+	arena, _ := c.rows.Arena()
+	tiered := c.rows.Tiered()
 	for i := 0; i < c.n; i++ {
 		if c.fate[i] != fateMove {
 			continue
 		}
-		switch {
-		case c.ovl != nil && c.ovl[i]:
-			// Overlay lane: the merged row replaced every base source
-			// (checked first — its arena/scr marks are cleared, so the
-			// tiered case below would misroute it to the cold arena).
-			c.nxt[i] = c.ovRow[i][c.idx[i]]
-		case c.tiered != nil && !c.arena[i] && !c.scr[i]:
-			// Slot-kind cold lane: the row never decoded; lo is the cold
-			// byte offset (Row Access's fast path).
-			c.nxt[i] = c.tiered.ColdEntryAt(c.cur[i], c.lo[i], c.idx[i])
-		case c.scr != nil && c.scr[i]:
-			c.nxt[i] = c.rowBuf[i][c.idx[i]] // decoded cold row; lo is 0
-		case c.arena[i]:
-			c.nxt[i] = c.arenaCol[c.lo[i]+int64(c.idx[i])]
+		switch row := c.mem[i].Row; {
+		case c.at[i] == graph.InArena:
+			c.nxt[i] = arena[c.lo[i]+int64(c.idx[i])]
+		case row != nil:
+			c.nxt[i] = row[c.idx[i]]
 		default:
-			c.nxt[i] = c.g.Col[c.lo[i]+int64(c.idx[i])]
+			c.nxt[i] = tiered.ColdEntryAt(c.cur[i], c.lo[i], c.idx[i])
 		}
 	}
 }
@@ -788,12 +649,19 @@ func (c *Cohort) move(depart func(tag int32, cur graph.VertexID) bool) {
 	n := c.n
 	phase, fate, step, nxt := c.phase[:n], c.fate[:n], c.step[:n], c.nxt[:n]
 	cur, prev, hasPrev, sts := c.cur[:n], c.prev[:n], c.hasPrev[:n], c.st[:n]
+	keepPrev := c.keepPrev
 	for i := 0; i < n; i++ {
 		if fate[i] != fateMove {
 			continue
 		}
 		next := nxt[i]
 		prev[i], hasPrev[i] = cur[i], true
+		if keepPrev {
+			// The row just sampled is N(prev) from the next hop on; its
+			// buffer becomes the spare, out of the next decode's way.
+			c.mem[i].Prev = c.mem[i].Row
+			c.buf[i].Swap()
+		}
 		cur[i] = next
 		st := sts[i]
 		st.Path = append(st.Path, next)

@@ -106,13 +106,9 @@ func (p *Pipeline) resetFree() {
 	p.freeTop = len(p.freeIDs)
 }
 
-// SetTiered routes the cohort's Row Access stage through a tiered store
-// (see Cohort.SetTiered). Call before the first Run.
-func (p *Pipeline) SetTiered(t *graph.Tiered) { p.cohort.SetTiered(t) }
-
-// SetSnapshot makes the cohort serve an epoch snapshot of a versioned
-// graph (see Cohort.SetSnapshot). Call before the first Run.
-func (p *Pipeline) SetSnapshot(snap *graph.Snapshot) { p.cohort.SetSnapshot(snap) }
+// SetRows makes the cohort resolve rows through rs (see
+// Cohort.SetRows). Call before the first Run.
+func (p *Pipeline) SetRows(rs *graph.Rows) { p.cohort.SetRows(rs) }
 
 // SetStop installs a cooperative cancellation hook, polled once per
 // cohort pass (every lane takes at most one hop between polls). When it

@@ -7,6 +7,7 @@ import (
 
 	"ridgewalker/internal/graph"
 	"ridgewalker/internal/rng"
+	"ridgewalker/internal/sampling"
 )
 
 // pipelineTestEdges is a labeled-graph edge list with sinks, degree-1
@@ -206,33 +207,52 @@ func TestPipelineAbandonReusable(t *testing.T) {
 // TestPipelineRunAllocFree pins the tentpole's allocation claim at the
 // stepper level: a Run over a reused Pipeline performs zero allocations,
 // for the single-draw, alias, reservoir (Node2Vec on the weighted graph)
-// and rejection (Node2Vec on the unweighted graph) sampler families.
+// and rejection (Node2Vec on the unweighted graph) sampler families — on
+// the flat CSR, over an all-cold tiered store, where every lane decodes
+// into buffers it swaps on each hop, and over a snapshot.
 func TestPipelineRunAllocFree(t *testing.T) {
 	weighted, unweighted := pipelineTestGraph(t), pipelineUnweightedGraph(t)
+	flat := func(g *graph.CSR) rowForm { return rowForm{cohort: g, ref: g} }
 	for _, tc := range []struct {
 		name string
 		alg  Algorithm
-		g    *graph.CSR
+		f    rowForm
 	}{
-		{"URW", URW, weighted},
-		{"PPR", PPR, weighted},
-		{"DeepWalk", DeepWalk, weighted},
-		{"Node2Vec", Node2Vec, weighted},
-		{"Node2Vec-unweighted", Node2Vec, unweighted},
+		{"URW", URW, flat(weighted)},
+		{"PPR", PPR, flat(weighted)},
+		{"DeepWalk", DeepWalk, flat(weighted)},
+		{"Node2Vec", Node2Vec, flat(weighted)},
+		{"Node2Vec-unweighted", Node2Vec, flat(unweighted)},
+		{"Node2Vec-cold-rejection", Node2Vec, allColdForm(t, "", unweighted)},
+		{"Node2Vec-cold-reservoir", Node2Vec, allColdForm(t, "", weighted)},
+		{"DeepWalk-snapshot", DeepWalk, snapshotForm(t, "", weighted)},
 	} {
-		g, alg := tc.g, tc.alg
+		f, alg := tc.f, tc.alg
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(alg)
 			cfg.WalkLength = 16
 			cfg.Seed = 7
-			qs, err := RandomQueries(g, cfg, 64, 11)
+			qs, err := RandomQueries(f.cohort, cfg, 64, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := NewPipeline(g, cfg, 16)
+			s, err := BuildSampler(f.cohort, cfg)
+			if f.snap != nil {
+				// Alias rows must follow the overlay's rows.
+				var ref *sampling.SamplerRef
+				if ref, err = AcquireSamplerSnap(f.snap, cfg); err == nil {
+					defer ref.Release()
+					s = ref.Sampler()
+				}
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			p, err := NewPipelineWithSampler(f.cohort, cfg, s, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetRows(f.rows)
 			emit := func(int, Query, []graph.VertexID, int64) error { return nil }
 			// Warm once (lazy growth, if any, happens here).
 			if _, err := p.Run(qs, emit); err != nil {
@@ -247,6 +267,42 @@ func TestPipelineRunAllocFree(t *testing.T) {
 				t.Fatalf("pipelined Run allocates %.1f allocs/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestCohortScratchWithinBound runs weighted Node2Vec at cohort 64 over
+// an all-cold tiered store, where every lane decodes its current row,
+// the row's weights and, resuming or moving, its previous row: the
+// lanes' buffers must stay within the bound the execution layer reports,
+// and the pipeline must still match Run.
+func TestCohortScratchWithinBound(t *testing.T) {
+	g := pipelineTestGraph(t)
+	f := allColdForm(t, "", g)
+	cfg := DefaultConfig(Node2Vec)
+	cfg.WalkLength = 40
+	qs, err := RandomQueries(g, cfg, 2048, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(g, qs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(g, cfg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetRows(f.rows)
+	paths, steps, err := collectPipeline(p, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps != want.Steps || !reflect.DeepEqual(paths, want.Paths) {
+		t.Fatal("all-cold pipelined paths differ from Run")
+	}
+	got, bound := p.cohort.ScratchBytes(), ScratchBound(f.rows.Tiered(), sampling.KindReservoir, 64)
+	if got == 0 || got > bound {
+		t.Fatalf("lanes hold %d B of decode scratch, want 0 < it <= %d", got, bound)
 	}
 }
 

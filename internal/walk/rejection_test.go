@@ -164,59 +164,146 @@ func TestNode2VecRejectionHubRow(t *testing.T) {
 	}
 }
 
+// rowForm is one way a cohort can serve a graph's rows: cohort is the
+// graph the cohort is built over and rows how it resolves them (nil:
+// the flat CSR); ref is a flat CSR with the same content, which Run and
+// Advance walk.
+type rowForm struct {
+	name        string
+	cohort, ref *graph.CSR
+	rows        *graph.Rows
+	snap        *graph.Snapshot
+}
+
+// allColdForm serves g through a tiered store that pins nothing hot, so
+// every row Row Access resolves is a decode into a lane buffer.
+func allColdForm(t testing.TB, name string, g *graph.CSR) rowForm {
+	t.Helper()
+	ts, err := graph.NewTiered(g, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rowForm{name: name, cohort: g, ref: g, rows: graph.NewRows(g, ts, nil)}
+}
+
+// snapshotForm serves g through a snapshot that grows every third row
+// from vertex 40 on and shrinks every seventh: most walks step through
+// dirty rows, and their previous vertices are often dirty too.
+func snapshotForm(t testing.TB, name string, g *graph.CSR) rowForm {
+	t.Helper()
+	vg := graph.NewVersioned(g)
+	var ins, del []graph.Edge
+	for v := 40; v < g.NumVertices; v++ {
+		id := graph.VertexID(v)
+		if v%3 == 0 {
+			ins = append(ins, graph.Edge{Src: id, Dst: graph.VertexID(v * 7 % g.NumVertices)})
+		}
+		if row := g.Neighbors(id); v%7 == 0 && len(row) > 1 {
+			del = append(del, graph.Edge{Src: id, Dst: row[0]})
+		}
+	}
+	if err := vg.InsertEdges(ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := vg.DeleteEdges(del); err != nil {
+		t.Fatal(err)
+	}
+	snap := vg.Snapshot()
+	return rowForm{name: name, cohort: g, ref: vg.Compact(), rows: graph.NewRows(g, nil, snap), snap: snap}
+}
+
 // TestCohortResumesNode2VecStates admits walks that are already mid-walk
 // — advanced a few hops by Advance, so they arrive with HasPrev set, as
 // resumed States and shard migrations do — and checks the cohort
-// finishes each exactly as Run does. The Prev Access probe reads the
-// previous row Admit loads for such walkers.
+// finishes each exactly as Run does. Flat rejection lanes probe the
+// previous row's bounds Admit loads; over an all-cold tiered store
+// (rejection and, weighted, reservoir) and a snapshot whose dirty rows
+// include the walkers' previous vertices, Admit resolves N(prev) into
+// the lane instead.
 func TestCohortResumesNode2VecStates(t *testing.T) {
 	g := pipelineUnweightedGraph(t)
+	weighted := pipelineTestGraph(t)
+	forms := []rowForm{
+		{name: "flat", cohort: g, ref: g},
+		allColdForm(t, "cold-rejection", g),
+		allColdForm(t, "cold-reservoir", weighted),
+		snapshotForm(t, "snapshot-rejection", g),
+		snapshotForm(t, "snapshot-reservoir", weighted),
+	}
 	for _, b := range node2vecBiases {
 		t.Run(fmt.Sprintf("p=%g,q=%g", b.p, b.q), func(t *testing.T) {
-			cfg := DefaultConfig(Node2Vec)
-			cfg.P, cfg.Q = b.p, b.q
-			cfg.WalkLength = 24
-			cfg.Seed = 5
-			qs := node2vecMatrixQueries(t, g, cfg)
-			want, err := Run(g, qs, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := BuildSampler(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := rng.NewSource(cfg.Seed)
-			for _, size := range []int{1, 3, 64} {
-				c, err := NewCohort(g, cfg, s, size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sts := make([]State, len(qs))
-				rs := make([]rng.Stream, len(qs))
-				for i, q := range qs {
-					src.StreamInto(uint64(q.ID), &rs[i])
-					sts[i].Start(q)
-					for h := 0; h < 1+i%3 && Advance(g, s, cfg, &sts[i], &rs[i]); h++ {
-					}
-				}
-				// Lanes free up as walks retire; admit the rest as they do.
-				next, done := 0, 0
-				retire := func(int32) error { done++; return nil }
-				for done < len(qs) {
-					for next < len(qs) && c.Admit(&sts[next], &rs[next], int32(next)) {
-						next++
-					}
-					if err := c.Step(nil, nil, retire); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i := range qs {
-					if !reflect.DeepEqual(sts[i].Path, want.Paths[i]) {
-						t.Fatalf("cohort=%d query %d: resumed path %v, want %v", size, i, sts[i].Path, want.Paths[i])
-					}
-				}
+			for _, f := range forms {
+				t.Run(f.name, func(t *testing.T) {
+					cfg := DefaultConfig(Node2Vec)
+					cfg.P, cfg.Q = b.p, b.q
+					cfg.WalkLength = 24
+					cfg.Seed = 5
+					testCohortResumes(t, f, cfg, node2vecMatrixQueries(t, g, cfg))
+				})
 			}
 		})
+	}
+}
+
+// testCohortResumes advances each query 1–3 hops over f.ref, admits the
+// States into cohorts of several widths over f, and checks every path
+// against Run over f.ref.
+func testCohortResumes(t *testing.T, f rowForm, cfg Config, qs []Query) {
+	want, err := Run(f.ref, qs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := BuildSampler(f.cohort, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := BuildSampler(f.ref, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.NewSource(cfg.Seed)
+	for _, size := range []int{1, 3, 64} {
+		c, err := NewCohort(f.cohort, cfg, s, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetRows(f.rows)
+		sts := make([]State, len(qs))
+		rs := make([]rng.Stream, len(qs))
+		for i, q := range qs {
+			src.StreamInto(uint64(q.ID), &rs[i])
+			sts[i].Start(q)
+			for h := 0; h < 1+i%3 && Advance(f.ref, ref, cfg, &sts[i], &rs[i]); h++ {
+			}
+		}
+		if f.ref != f.cohort {
+			// The snapshot forms exist to resume walkers whose previous
+			// row is an overlay row.
+			dirtyPrev := 0
+			for i := range sts {
+				if sts[i].HasPrev && !reflect.DeepEqual(f.ref.Neighbors(sts[i].Prev), f.cohort.Neighbors(sts[i].Prev)) {
+					dirtyPrev++
+				}
+			}
+			if dirtyPrev < 10 {
+				t.Fatalf("%d resumed walkers stand after a dirty row, want >= 10", dirtyPrev)
+			}
+		}
+		// Lanes free up as walks retire; admit the rest as they do.
+		next, done := 0, 0
+		retire := func(int32) error { done++; return nil }
+		for done < len(qs) {
+			for next < len(qs) && c.Admit(&sts[next], &rs[next], int32(next)) {
+				next++
+			}
+			if err := c.Step(nil, nil, retire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range qs {
+			if !reflect.DeepEqual(sts[i].Path, want.Paths[i]) {
+				t.Fatalf("cohort=%d query %d: resumed path %v, want %v", size, i, sts[i].Path, want.Paths[i])
+			}
+		}
 	}
 }

@@ -263,22 +263,39 @@ func AcquireSamplerSnap(snap *graph.Snapshot, cfg Config) (*sampling.SamplerRef,
 	return sampling.DefaultRegistry().AcquireSnapshot(snap, spec)
 }
 
-// TierAccess reports which row components cfg's sampler reads through a
-// tiered view: needRow false means the sampler consumes only a degree
-// and one drawn slot per hop (uniform draws by index, alias draws from
-// its own store), which lets engines take the slot-decode fast path;
-// needW false means weight rows are never read and their decode can be
-// skipped. Pass the result to graph.TierView.SetAccess.
-func TierAccess(g *graph.CSR, cfg Config) (needRow, needW bool, err error) {
-	spec, err := SamplerSpec(g, cfg)
-	if err != nil {
-		return true, true, err
-	}
-	switch spec.Kind {
+// reads is what a sampler of kind k takes from the rows an engine
+// resolves: how much of the current row (uniform and alias draws take
+// one slot), and whether it also keeps the previous hop's row — Node2Vec's
+// HasEdge(prev, ·) probes search N(prev).
+func reads(k sampling.Kind) (acc graph.Access, prevRow bool) {
+	switch k {
 	case sampling.KindUniform, sampling.KindAlias:
-		return false, false, nil
+		return graph.AccessSlot, false
+	case sampling.KindRejection:
+		return graph.AccessRow, true
+	case sampling.KindReservoir:
+		return graph.AccessWeights, true
 	}
-	return true, spec.Weighted, nil
+	return graph.AccessWeights, false
+}
+
+// ScratchBound is the most cold-row decode scratch one engine worker
+// holds over t: its lanes (a Walker is one) × the buffers a sampler of
+// kind k keeps per lane — the current row, its weights and the previous
+// hop's row, as it reads them — × the largest cold row.
+func ScratchBound(t *graph.Tiered, k sampling.Kind, lanes int) int64 {
+	acc, prevRow := reads(k)
+	var bufs int64
+	if acc != graph.AccessSlot {
+		bufs++
+	}
+	if acc == graph.AccessWeights && t.Graph().Weighted() {
+		bufs++
+	}
+	if prevRow {
+		bufs++
+	}
+	return int64(lanes) * bufs * int64(t.MaxColdDegree) * 4
 }
 
 // Query is one random-walk request.
@@ -402,102 +419,6 @@ func Advance(g *graph.CSR, s sampling.Sampler, cfg Config, st *State, r *rng.Str
 	return st.Step < cfg.WalkLength
 }
 
-// AdvanceView is Advance over a tiered graph store and/or an epoch
-// snapshot: the current row is read through mem.Snap's overlay when the
-// vertex is dirty for the serving epoch, through tv (hot arena or cached
-// cold-row decode) otherwise, and staged into mem, the caller-owned
-// sampling.RowView the sampler reads instead of the CSR. One mem lives
-// per worker and is reused across hops, so the view costs no
-// allocations. With tv == nil and no snapshot it is exactly Advance —
-// flat engines keep their unchanged zero-overhead path.
-func AdvanceView(g *graph.CSR, tv *graph.TierView, mem *sampling.RowView, s sampling.Sampler, cfg Config, st *State, r *rng.Stream) bool {
-	var snap *graph.Snapshot
-	if mem != nil {
-		snap = mem.Snap
-	}
-	if tv == nil && snap == nil {
-		return Advance(g, s, cfg, st, r)
-	}
-	if st.Step >= cfg.WalkLength {
-		return false
-	}
-	var next graph.VertexID
-	if snap != nil && snap.Dirty(st.Cur) {
-		// Overlay path: the serving epoch's merged row replaces the base
-		// row entirely (a bit set by a later epoch falls back to the base
-		// row inside MergedRow, keeping this branch trajectory-neutral).
-		row, wts := snap.MergedRow(st.Cur)
-		if len(row) == 0 {
-			return false // zero outgoing edges: immediate termination (Fig. 1b)
-		}
-		mem.Row, mem.Wts = row, wts
-		if tv != nil {
-			mem.Tier = tv
-		}
-		res := s.Sample(g, sampling.Context{Cur: st.Cur, Prev: st.Prev, HasPrev: st.HasPrev, Deg: int32(len(row)), Step: st.Step, Mem: mem}, r)
-		if res.Index < 0 {
-			return false // no selectable neighbor (MetaPath schema miss)
-		}
-		next = row[res.Index]
-	} else if tv == nil {
-		// Flat store under a snapshot, clean row: stage the base row so
-		// second-order probes of dirty *other* rows route through mem.Snap.
-		row := g.Neighbors(st.Cur)
-		if len(row) == 0 {
-			return false // zero outgoing edges: immediate termination (Fig. 1b)
-		}
-		mem.Row = row
-		if g.Weighted() {
-			mem.Wts = g.NeighborWeights(st.Cur)
-		} else {
-			mem.Wts = nil
-		}
-		res := s.Sample(g, sampling.Context{Cur: st.Cur, Prev: st.Prev, HasPrev: st.HasPrev, Deg: int32(len(row)), Step: st.Step, Mem: mem}, r)
-		if res.Index < 0 {
-			return false // no selectable neighbor (MetaPath schema miss)
-		}
-		next = row[res.Index]
-	} else if !tv.NeedRow() {
-		// Slot fast path (uniform and alias kinds, see TierAccess): the
-		// sampler consumes only the degree and the walk only the drawn
-		// neighbor, so cold rows decode one block-bounded slot instead of
-		// materializing.
-		t := tv.Tiered()
-		off, deg, hot := t.Locate(st.Cur)
-		if deg == 0 {
-			return false // zero outgoing edges: immediate termination (Fig. 1b)
-		}
-		res := s.Sample(g, sampling.Context{Cur: st.Cur, Prev: st.Prev, HasPrev: st.HasPrev, Deg: deg, Step: st.Step}, r)
-		if res.Index < 0 {
-			return false
-		}
-		if hot {
-			next = t.HotArena()[off+int64(res.Index)]
-		} else {
-			next = t.ColdEntryAt(st.Cur, off, int32(res.Index))
-		}
-	} else {
-		row, wts := tv.RowAndWeights(st.Cur)
-		if len(row) == 0 {
-			return false // zero outgoing edges: immediate termination (Fig. 1b)
-		}
-		mem.Row, mem.Wts, mem.Tier = row, wts, tv
-		res := s.Sample(g, sampling.Context{Cur: st.Cur, Prev: st.Prev, HasPrev: st.HasPrev, Deg: int32(len(row)), Step: st.Step, Mem: mem}, r)
-		if res.Index < 0 {
-			return false // no selectable neighbor (MetaPath schema miss)
-		}
-		next = row[res.Index]
-	}
-	st.Prev, st.HasPrev = st.Cur, true
-	st.Cur = next
-	st.Path = append(st.Path, next)
-	st.Step++
-	if cfg.Algorithm == PPR && r.Float64() < cfg.Alpha {
-		return false // teleport: the walk restarts, ending this query
-	}
-	return st.Step < cfg.WalkLength
-}
-
 // walkOne runs a single query, returning the visited path (including the
 // start vertex) and the number of hops taken.
 func walkOne(g *graph.CSR, s sampling.Sampler, cfg Config, q Query, r *rng.Stream) ([]graph.VertexID, int64) {
@@ -530,10 +451,17 @@ type Walker struct {
 	src     *rng.Source
 	r       rng.Stream
 	buf     []graph.VertexID
-	// tv, when set, routes row reads through a tiered store's per-worker
-	// view; mem is the staged row view handed to the sampler.
-	tv  *graph.TierView
-	mem sampling.RowView
+	// rows, when set, resolves each hop's row through a tiered store or
+	// an epoch snapshot (nil: Advance over the CSR), and arena is its
+	// uncompressed arena. The walker holds the row it resolved, and for
+	// Node2Vec the previous hop's row, in mem, decoding cold rows into
+	// dec; acc and prevRow say what its sampler reads.
+	rows    *graph.Rows
+	arena   []graph.VertexID
+	acc     graph.Access
+	prevRow bool
+	dec     graph.RowBuf
+	mem     sampling.RowView
 }
 
 // NewWalker builds a walker for g under cfg, constructing its own sampler.
@@ -549,38 +477,29 @@ func NewWalker(g *graph.CSR, cfg Config) (*Walker, error) {
 // (alias tables and schema state are read-only and safe to share across
 // walkers).
 func NewWalkerWithSampler(g *graph.CSR, cfg Config, s sampling.Sampler) *Walker {
-	return &Walker{
+	w := &Walker{
 		g:       g,
 		sampler: s,
 		cfg:     cfg,
 		src:     rng.NewSource(cfg.Seed),
 		buf:     make([]graph.VertexID, 0, cfg.WalkLength+1),
 	}
+	w.acc, w.prevRow = reads(s.Kind())
+	return w
 }
 
-// SetTierView makes the walker read neighbor rows through a tiered
-// store's per-worker view (the view must be private to this walker;
-// build one per worker with graph.NewTierView). Because a tiered store
-// is content-identical to its CSR, trajectories are unaffected. Call
-// before the first Walk; nil restores direct CSR reads.
-func (w *Walker) SetTierView(tv *graph.TierView) {
-	w.tv = tv
-	if tv == nil {
-		return
-	}
-	// Narrow the view to what this walker's sampler reads (cfg validated
-	// at construction, so TierAccess cannot fail here).
-	if needRow, needW, err := TierAccess(w.g, w.cfg); err == nil {
-		tv.SetAccess(needRow, needW)
+// SetRows makes the walker resolve its rows through rs — a tiered
+// store's arenas and an epoch snapshot's overlay — rather than the CSR
+// it was built over, which rs must serve. Every row form holds the same
+// content, so trajectories are unaffected. Call before the first Walk;
+// nil, or a flat rs, restores direct CSR reads.
+func (w *Walker) SetRows(rs *graph.Rows) {
+	w.rows = nil
+	if rs != nil && !rs.Flat() {
+		w.rows = rs
+		w.arena, _ = rs.Arena()
 	}
 }
-
-// SetSnapshot makes the walker serve an epoch snapshot of a versioned
-// graph: rows dirty for the snapshot's epoch are read from its merged
-// overlay (and second-order probes route through it) instead of the base
-// CSR the walker was built over, which must be snap.Graph(). Call before
-// the first Walk; nil restores base-only reads.
-func (w *Walker) SetSnapshot(snap *graph.Snapshot) { w.mem.Snap = snap }
 
 // Walk executes one query. The per-query RNG stream is derived from the
 // query ID exactly as Run does, so a Walker's output is byte-identical to
@@ -590,10 +509,63 @@ func (w *Walker) Walk(q Query) ([]graph.VertexID, int64) {
 	w.src.StreamInto(uint64(q.ID), &w.r)
 	st := State{Path: w.buf}
 	st.Start(q)
-	for AdvanceView(w.g, w.tv, &w.mem, w.sampler, w.cfg, &st, &w.r) {
+	if w.rows == nil {
+		for Advance(w.g, w.sampler, w.cfg, &st, &w.r) {
+		}
+	} else {
+		for w.advance(&st) {
+		}
 	}
 	w.buf = st.Path
 	return st.Path, int64(st.Step)
+}
+
+// advance is Advance over w.rows. Locate places the hop's row inline,
+// and Resolve runs only for an overlay row or a cold row the sampler
+// reads whole (a call per hop costs the depth-first walker as much as a
+// cohort lane). The sampler reads the row from w.mem, and the drawn
+// neighbor comes from the row, or from the one slot of a cold row left
+// encoded.
+func (w *Walker) advance(st *State) bool {
+	if st.Step >= w.cfg.WalkLength {
+		return false
+	}
+	off, deg, at := w.rows.Locate(st.Cur)
+	var r graph.RowRef
+	switch {
+	case at == graph.InArena && w.acc != graph.AccessWeights:
+		r = graph.RowRef{Row: w.arena[off : off+int64(deg)], Off: off, Deg: deg}
+	case at == graph.InCold && w.acc == graph.AccessSlot:
+		r = graph.RowRef{Off: off, Deg: deg}
+	default:
+		r = w.rows.Resolve(st.Cur, &w.dec, w.acc)
+	}
+	if r.Deg == 0 {
+		return false // zero outgoing edges: immediate termination (Fig. 1b)
+	}
+	w.mem.Row, w.mem.Wts = r.Row, r.Wts
+	res := w.sampler.Sample(w.g, sampling.Context{Cur: st.Cur, Prev: st.Prev, HasPrev: st.HasPrev, Deg: r.Deg, Step: st.Step, Mem: &w.mem}, &w.r)
+	if res.Index < 0 {
+		return false // no selectable neighbor (MetaPath schema miss)
+	}
+	var next graph.VertexID
+	if r.Row != nil {
+		next = r.Row[res.Index]
+	} else {
+		next = w.rows.Tiered().ColdEntryAt(st.Cur, r.Off, int32(res.Index))
+	}
+	if w.prevRow {
+		w.mem.Prev = r.Row // N(prev) from the next hop on
+		w.dec.Swap()
+	}
+	st.Prev, st.HasPrev = st.Cur, true
+	st.Cur = next
+	st.Path = append(st.Path, next)
+	st.Step++
+	if w.cfg.Algorithm == PPR && w.r.Float64() < w.cfg.Alpha {
+		return false // teleport: the walk restarts, ending this query
+	}
+	return st.Step < w.cfg.WalkLength
 }
 
 // VisitCounts tallies how often each vertex appears across all paths —
